@@ -9,7 +9,6 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import statistics
 import sys
 import time
@@ -41,7 +40,6 @@ def _load(path: str) -> RealFn:
 def cmd_wht(args) -> int:
     f = _load(args.input)
     s = wht(f)
-    back = fourier.iwht(s)
     parseval = abs(
         float(np.mean(f.values**2)) - float(np.sum(s.coeffs**2))
     )
@@ -79,7 +77,7 @@ def cmd_psi(args) -> int:
 def cmd_decompose(args) -> int:
     f = _load(args.input)
     try:
-        params = DecomposeParams(eps0=args.eps0, mode=args.mode, seed=args.seed)
+        params = DecomposeParams(eps0=args.eps0, mode=args.mode)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_INPUT
@@ -167,7 +165,11 @@ def cmd_bench(args) -> int:
     if args.what in ("wht", "anorm") and args.n > 24 or args.what == "decompose" and args.n > 12:
         print("error: n too large for this benchmark", file=sys.stderr)
         return EXIT_BAD_INPUT
-    ambient = Ambient(args.n)
+    try:
+        ambient = Ambient(args.n)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_BAD_INPUT
     rng = rng_for(args.seed)
     results = {}
     if args.what in ("wht", "anorm"):
@@ -203,9 +205,6 @@ def cmd_bench(args) -> int:
 
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(prog="specnorm")
-    p.add_argument("--threads", type=int,
-                   default=int(os.environ.get("SPECNORM_THREADS", "0")),
-                   help="cap internal parallelism (0 = available cores)")
     sub = p.add_subparsers(dest="command", required=True)
 
     sp = sub.add_parser("wht", help="transform a truth table")
@@ -227,9 +226,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("decompose", help="signed-subgroup decomposition")
     sp.add_argument("--input", required=True)
     sp.add_argument("--mode", default="heuristic",
-                    choices=["heuristic", "exhaustive", "fallback-only"])
+                    choices=["heuristic", "fallback-only"])
     sp.add_argument("--eps0", type=float, default=2.0**-20)
-    sp.add_argument("--seed", type=int, default=0)
     sp.add_argument("--no-fallback", action="store_true")
     sp.add_argument("--out")
     sp.set_defaults(fn=cmd_decompose)

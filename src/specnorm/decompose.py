@@ -1,28 +1,32 @@
-"""Iterative rewriting of an (almost) integer-valued function with small
-spectral norm as a signed sum of subgroup indicators.
+"""Rewriting of an (almost) integer-valued function as a signed sum of
+subgroup indicators, through the spectral quotient.
 
-Each round splits a work item f into psi_H' f and its complement, where
-H' comes from the concentration-subgroup search refined by the greedy
-spectral-support descent.  A part is finished when its rounding is
-constant on H'-cosets, at which point it collapses to signed coset
-terms and then to subgroup indicators via 1_{x+H} = 1_<H,x> - 1_H.
-A guaranteed point-mass fallback keeps the procedure total.
+decompose rounds f to f_int = rint(f), which is what the output
+represents, and makes one descent on it.  The transform of an integer
+table is exact dyadic arithmetic, and every |f_int-hat(r)| is a multiple
+of 2^-n, so every off-dual coset mass is either exactly 0 or at least
+2^-n.  The greedy spectral-support descent from the full group, run with
+eta below 2^-n, therefore stops only when the dual spans the support of
+f_int-hat.  Each step adds one dimension to the dual, so it takes at
+most n steps, and it lands on H', the largest subgroup that f_int is
+periodic under.  f_int is constant on H'-cosets, so it collapses to
+signed coset terms and then to subgroup indicators via
+1_{x+H} = 1_<H,x> - 1_H.  A point-mass fallback keeps the procedure
+total, and a final evaluation checks the result is exact.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import spectral
-from .additive import ConcentrationParams, find_concentration_subgroup
 from .fourier import RealFn
-from .gf2 import Ambient, Subgroup, rref_span, trivial
+from .gf2 import Ambient, Subgroup, full, rref_span, trivial
 from .spectral import (
     AlmostIntFn,
     NotAlmostInteger,
+    SupportCertificate,
     a_norm,
     find_spectral_support,
     psi,
@@ -56,27 +60,21 @@ class SignedCosetTerm:
     H: Subgroup
 
 
-def default_eta(eps: float, m_norm: float) -> float:
-    """Small in M, linear in eps; halved on rounding failures."""
-    return eps / (16.0 * (m_norm + 1.0) ** 2 * max(1.0, math.log2(m_norm + 1.0)))
+def exact_support_eta(ambient: Ambient) -> float:
+    """Half the 2^-n quantum of coset mass on an integer table: with this
+    eta the descent stops only at the exact support."""
+    return 2.0 ** -(ambient.n + 1)
 
 
 @dataclass(frozen=True)
 class DecomposeParams:
     eps0: float = 2.0**-20
-    eta_of: callable = default_eta
-    mode: str = "heuristic"  # heuristic | exhaustive | fallback-only
-    max_depth: int = 8
-    seed: int = 0
-    max_eta_retries: int = 6
-    concentration: ConcentrationParams = field(default_factory=ConcentrationParams)
+    mode: str = "heuristic"  # heuristic | fallback-only
 
     def __post_init__(self):
         if not 0 < self.eps0 < 0.5:
             raise ValueError("eps0 must lie in (0, 1/2)")
-        if self.max_depth < 1:
-            raise ValueError("max_depth must be >= 1")
-        if self.mode not in ("heuristic", "exhaustive", "fallback-only"):
+        if self.mode not in ("heuristic", "fallback-only"):
             raise ValueError(f"unknown mode {self.mode!r}")
 
 
@@ -99,40 +97,35 @@ class DecomposeReport:
 
 
 @dataclass(frozen=True)
-class PartOutcome:
-    fn: AlmostIntFn
-    finished: bool
-    terms: tuple[SignedCosetTerm, ...] | None
-
-
-@dataclass(frozen=True)
 class SplitOutcome:
-    parts: tuple[PartOutcome, ...]
-    subgroup: Subgroup | None
-    eta: float
+    """One descent on rint(f) and the split f_int = f1 + f2 it induces,
+    with f1 = psi_{H'} f_int.
+
+    terms is None when f2 does not round to zero, that is when eta was
+    too coarse for the descent to reach the exact support.
+    """
+
+    certificate: SupportCertificate
+    terms: tuple[SignedCosetTerm, ...] | None
     a_norm_before: float
-    a_norm_parts: tuple[float, ...]
-
-
-def _constant_on_cosets(f_int: RealFn, H: Subgroup) -> bool:
-    avg = psi(f_int, H)
-    return bool(np.max(np.abs(f_int.values - avg.values)) < 0.5)
+    a_norm_parts: tuple[float, float]
 
 
 def _extract_coset_terms(f_int: RealFn, H: Subgroup) -> tuple[SignedCosetTerm, ...]:
+    """One term per H-coset with a nonzero value, in increasing order of
+    the coset's smallest element."""
     vals = np.rint(f_int.values).astype(np.int64)
-    elems = H.element_array()
-    seen = np.zeros(f_int.ambient.size, dtype=bool)
-    terms = []
-    for x in range(f_int.ambient.size):
-        if seen[x]:
-            continue
-        coset = elems ^ x
-        seen[coset] = True
-        c = int(vals[x])
-        if c != 0:
-            terms.append(SignedCosetTerm(coeff=c, rep=int(coset.min()), H=H))
-    return tuple(terms)
+    # clearing every pivot bit of the RREF basis maps x to the smallest
+    # element of x + H
+    reps = np.arange(f_int.ambient.size, dtype=np.int64)
+    for b in H.basis:
+        pivot = b.bit_length() - 1
+        reps = np.where((reps >> pivot) & 1, reps ^ b, reps)
+    reps = np.unique(reps)
+    return tuple(
+        SignedCosetTerm(coeff=int(vals[r]), rep=int(r), H=H)
+        for r in reps[vals[reps] != 0]
+    )
 
 
 def coset_to_subgroups(term: SignedCosetTerm) -> list[SubgroupTerm]:
@@ -168,58 +161,24 @@ def trivial_expr(f_int: RealFn) -> CosetRingExpr:
     return CosetRingExpr(f_int.ambient, tuple(terms))
 
 
-def inductive_step(
-    f: AlmostIntFn,
-    eta: float,
-    H_hint: Subgroup | None = None,
-    concentration: ConcentrationParams = ConcentrationParams(),
-) -> SplitOutcome:
-    """One round: split f into a coset-average part and its complement.
+def inductive_step(f: AlmostIntFn, eta: float) -> SplitOutcome:
+    """Descend from the full group on rint(f) and extract its coset terms.
 
-    Raises NotAlmostInteger when eta is too coarse for this f (caller
-    retries with a smaller eta).
+    With eta <= exact_support_eta the descent takes at most n steps, ends
+    with no off-dual mass, and terms is never None.
     """
     if eta <= 0:
         raise ValueError("eta must be positive")
-    m_norm = a_norm(f.f)
-    if m_norm <= 0.5:
-        # rounding of f is identically zero: nothing to represent
-        empty = PartOutcome(fn=f, finished=True, terms=())
-        return SplitOutcome(
-            parts=(empty,),
-            subgroup=None,
-            eta=eta,
-            a_norm_before=m_norm,
-            a_norm_parts=(m_norm,),
-        )
-    H = H_hint
-    if H is None:
-        H, _ = find_concentration_subgroup(f, concentration)
-    cert = find_spectral_support(f.f, H, eta)
-    Hp = cert.subgroup
-    f1 = psi(f.f, Hp)
-    f2 = f.f - f1
-    parts = []
-    norms = []
-    for g in (f1, f2):
-        rounded = round_to_int(g)
-        norms.append(a_norm(g))
-        if _constant_on_cosets(rounded.f_int, Hp):
-            parts.append(
-                PartOutcome(
-                    fn=rounded,
-                    finished=True,
-                    terms=_extract_coset_terms(rounded.f_int, Hp),
-                )
-            )
-        else:
-            parts.append(PartOutcome(fn=rounded, finished=False, terms=None))
+    f_int = f.f_int
+    cert = find_spectral_support(f_int, full(f_int.ambient), eta)
+    f1 = psi(f_int, cert.subgroup)
+    f2 = f_int - f1
+    periodic = bool(np.max(np.abs(f2.values)) < 0.5)
     return SplitOutcome(
-        parts=tuple(parts),
-        subgroup=Hp,
-        eta=eta,
-        a_norm_before=m_norm,
-        a_norm_parts=tuple(norms),
+        certificate=cert,
+        terms=_extract_coset_terms(f_int, cert.subgroup) if periodic else None,
+        a_norm_before=a_norm(f_int),
+        a_norm_parts=(a_norm(f1), a_norm(f2)),
     )
 
 
@@ -232,87 +191,26 @@ def decompose(
             f"deviation {base.eps} exceeds the eps0 budget {params.eps0}"
         )
     report = DecomposeReport()
-    terms: list[SubgroupTerm] = []
-    m0 = a_norm(f)
-    depth_cap = max(2 * math.ceil(m0), params.max_depth)
-
-    if params.mode == "fallback-only":
-        expr = trivial_expr(base.f_int)
-        report.fallback_used = True
-        report.L = expr.L
-        report.exact = bool(
-            np.array_equal(
-                np.rint(evaluate(expr).values), np.rint(base.f_int.values)
-            )
-        )
-        return expr, report
-
-    conc = params.concentration
-    if params.mode == "exhaustive":
-        conc = ConcentrationParams(
-            rhos=conc.rhos,
-            beam_top=conc.beam_top,
-            beam_max_size=conc.beam_max_size,
-            max_codim=conc.max_codim,
-            exhaustive=True,
-        )
-
-    # work items: (almost-int part, eps budget level, depth); largest
-    # a_norm first for bounded queue growth and comparable reports
-    queue: list[tuple[float, AlmostIntFn, float, int]] = [
-        (a_norm(f), base, max(base.eps, params.eps0), 0)
-    ]
-    while queue:
-        queue.sort(key=lambda item: -item[0])
-        norm_before, part, eps_level, depth = queue.pop(0)
-        report.depth = max(report.depth, depth)
-
-        if depth >= depth_cap:
-            terms.extend(trivial_expr(part.f_int).terms)
-            report.fallback_used = True
-            continue
-
-        eta = params.eta_of(eps_level, norm_before)
-        outcome = None
-        for _ in range(params.max_eta_retries + 1):
-            try:
-                outcome = inductive_step(part, eta, concentration=conc)
-                break
-            except NotAlmostInteger:
-                eta /= 2.0
-        if outcome is None:
-            terms.extend(trivial_expr(part.f_int).terms)
-            report.fallback_used = True
-            continue
-
+    outcome = None
+    if params.mode == "heuristic":
+        outcome = inductive_step(base, exact_support_eta(f.ambient))
         report.splits.append(
             {
                 "a_norm_before": outcome.a_norm_before,
-                "a_norm_f1": outcome.a_norm_parts[0]
-                if len(outcome.a_norm_parts) > 1
-                else outcome.a_norm_before,
-                "a_norm_f2": outcome.a_norm_parts[1]
-                if len(outcome.a_norm_parts) > 1
-                else 0.0,
-                "eta": outcome.eta,
-                "eps_level": eps_level,
+                "a_norm_f1": outcome.a_norm_parts[0],
+                "a_norm_f2": outcome.a_norm_parts[1],
+                "eta": outcome.certificate.eta,
+                "eps_level": max(base.eps, params.eps0),
             }
         )
-
-        for p, p_norm in zip(outcome.parts, outcome.a_norm_parts):
-            if p.finished:
-                for ct in p.terms:
-                    terms.extend(coset_to_subgroups(ct))
-            elif p_norm > norm_before - 0.25:
-                # stall: no progress and not finished
-                terms.extend(trivial_expr(p.fn.f_int).terms)
-                report.fallback_used = True
-            else:
-                queue.append(
-                    (p_norm, p.fn, max(p.fn.eps, eps_level), depth + 1)
-                )
-
-    expr = CosetRingExpr(f.ambient, tuple(terms))
+    if outcome is None or outcome.terms is None:
+        expr = trivial_expr(base.f_int)
+        report.fallback_used = True
+    else:
+        expr = CosetRingExpr(
+            f.ambient,
+            tuple(t for ct in outcome.terms for t in coset_to_subgroups(ct)),
+        )
     report.L = expr.L
     got = np.rint(evaluate(expr).values).astype(np.int64)
     want = np.rint(base.f_int.values).astype(np.int64)

@@ -107,6 +107,9 @@ def _random_set(ambient: Ambient, rng) -> PointSet:
     return PointSet(ambient, random_structured_set_mask(ambient, rng))
 
 
+_TINY_NORM_BLOCK = 4096  # rows per float64 block of the anorm product
+
+
 @_timed
 def check_tiny_norm(n: int) -> LawReport:
     """Exhaustive: nonzero boolean f is a coset indicator iff a_norm <= 1
@@ -118,14 +121,20 @@ def check_tiny_norm(n: int) -> LawReport:
     rep = LawReport(law_id="tiny-norm")
     N = 1 << n
     had = _hadamard(N)
-    masks = np.arange(1, 1 << N, dtype=np.uint64)
-    tables = (masks[:, None] >> np.arange(N, dtype=np.uint64)[None, :]) & 1
-    tables = tables.astype(np.float64)
-    anorms = np.abs(tables @ had / N).sum(axis=1)
+    masks = np.arange(1, 1 << N, dtype=np.int64)
+    # one uint8 bit column at a time and float64 rows only per block keep
+    # the n = 4 sweep (65535 tables) from holding several dense copies
+    tables = np.empty((masks.size, N), dtype=np.uint8)
+    for j in range(N):
+        tables[:, j] = (masks >> j) & 1
+    anorms = np.empty(masks.size)
+    for lo in range(0, masks.size, _TINY_NORM_BLOCK):
+        block = tables[lo:lo + _TINY_NORM_BLOCK].astype(np.float64)
+        anorms[lo:lo + _TINY_NORM_BLOCK] = np.abs(block @ had / N).sum(axis=1)
 
     min_noncoset = math.inf
-    for i in range(tables.shape[0]):
-        f = tables[i]
+    for i in range(masks.size):
+        f = tables[i].astype(np.float64)
         mask = f > 0.5
         S = np.nonzero(mask)[0]
         # coset test: translate to contain 0, then xor-closure

@@ -215,6 +215,13 @@ class TestBenchCmd:
     def test_too_large(self):
         assert main(["bench", "wht", "--n", "30"]) == EXIT_BAD_INPUT
 
+    @pytest.mark.parametrize("what", ["wht", "decompose"])
+    def test_n_zero(self, what, capsys):
+        assert main(["bench", what, "--n", "0"]) == EXIT_BAD_INPUT
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "Traceback" not in err
+
 
 class TestExitCodes:
     def test_constants(self):

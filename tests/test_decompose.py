@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from specnorm.decompose import (
     CosetRingExpr,
@@ -9,19 +11,45 @@ from specnorm.decompose import (
     coset_to_subgroups,
     decompose,
     decomposition_json,
-    default_eta,
     evaluate,
+    exact_support_eta,
     inductive_step,
     trivial_expr,
 )
 from specnorm.fourier import RealFn, indicator
-from specnorm.generate import flat_indicator, gen_coset_ring, rng_for
+from specnorm.generate import flat_indicator, gen_coset_ring, random_flat, rng_for
 from specnorm.gf2 import Ambient, rref_span, trivial
 from specnorm.spectral import NotAlmostInteger, a_norm, round_to_int
 
 
+EPS0 = DecomposeParams().eps0
+
+
 def expr_values(expr):
     return np.rint(evaluate(expr).values).astype(np.int64)
+
+
+@st.composite
+def signed_flat_sums(draw, max_n=8):
+    """Sum of c_i 1_{t_i + H_i} with nonzero integer c_i in [-3, 3]."""
+    n = draw(st.integers(2, max_n))
+    a = Ambient(n)
+    words = st.integers(0, a.size - 1)
+    vals = np.zeros(a.size)
+    for _ in range(draw(st.integers(1, 4))):
+        H = rref_span(a, draw(st.lists(words, max_size=n)))
+        c = draw(st.integers(1, 3)) * draw(st.sampled_from([-1, 1]))
+        vals += c * flat_indicator(H, draw(words)).values
+    return RealFn(a, vals)
+
+
+def outside_coset(n, seed):
+    """Indicator of a coset x + H with x outside H."""
+    rng = rng_for(seed)
+    while True:
+        H, x = random_flat(Ambient(n), rng, min_dim=2)
+        if not H.contains(x):
+            return flat_indicator(H, x)
 
 
 class TestCosetToSubgroups:
@@ -65,27 +93,20 @@ class TestEvaluateTrivial:
         assert np.array_equal(expr_values(expr), np.zeros(8, dtype=np.int64))
 
 
-class TestDefaultEta:
-    def test_shrinks_with_norm(self):
-        assert default_eta(0.1, 10.0) < default_eta(0.1, 1.0)
-
-    def test_linear_in_eps(self):
-        assert default_eta(0.2, 3.0) == pytest.approx(2 * default_eta(0.1, 3.0))
-
-
 class TestInductiveStep:
     def test_zero_function(self):
         a = Ambient(4)
         f = round_to_int(RealFn(a, np.zeros(a.size)))
         out = inductive_step(f, 0.01)
-        assert out.parts[0].finished and out.parts[0].terms == ()
+        assert out.terms == () and out.certificate.steps_used == 0
 
     def test_subgroup_indicator_one_round(self):
         a = Ambient(6)
         H = rref_span(a, [0b000011, 0b001100])
         f = round_to_int(flat_indicator(H, 0))
         out = inductive_step(f, 0.01)
-        assert any(p.finished and p.terms for p in out.parts)
+        assert out.certificate.subgroup == H
+        assert out.terms == (SignedCosetTerm(1, 0, H),)
         assert out.a_norm_before == pytest.approx(1.0)
         # norm additivity of the split
         assert sum(out.a_norm_parts) == pytest.approx(out.a_norm_before, abs=1e-9)
@@ -95,6 +116,23 @@ class TestInductiveStep:
         f = round_to_int(indicator(a, [0, 1]))
         with pytest.raises(ValueError):
             inductive_step(f, 0.0)
+
+    def test_coarse_eta_leaves_terms_unset(self):
+        # eta above the largest coset mass stops the descent at once
+        a = Ambient(4)
+        f = round_to_int(indicator(a, [0, 1, 2]))
+        out = inductive_step(f, 10.0)
+        assert out.terms is None and out.certificate.steps_used == 0
+
+    @given(signed_flat_sums())
+    @settings(max_examples=60, deadline=None)
+    def test_integer_table_reaches_exact_support(self, f):
+        n = f.ambient.n
+        out = inductive_step(round_to_int(f), exact_support_eta(f.ambient))
+        assert out.certificate.steps_used <= n
+        assert out.certificate.worst_mass == 0.0
+        assert out.terms is not None
+        assert out.a_norm_parts[1] == 0.0
 
 
 class TestDecompose:
@@ -163,13 +201,6 @@ class TestDecompose:
         assert rep.exact and rep.fallback_used
         assert np.array_equal(expr_values(expr), np.rint(f.values).astype(np.int64))
 
-    def test_exhaustive_mode(self):
-        a = Ambient(5)
-        H = rref_span(a, [0b00011, 0b01000])
-        f = flat_indicator(H, 0b00100)
-        expr, rep = decompose(f, DecomposeParams(mode="exhaustive"))
-        assert rep.exact and expr.L == 2
-
     def test_perturbed_input(self):
         a = Ambient(4)
         H = rref_span(a, [0b0011])
@@ -196,7 +227,7 @@ class TestDecompose:
         with pytest.raises(ValueError):
             DecomposeParams(mode="magic")
         with pytest.raises(ValueError):
-            DecomposeParams(max_depth=0)
+            DecomposeParams(mode="exhaustive")
 
     def test_json(self):
         a = Ambient(4)
@@ -216,3 +247,43 @@ class TestDecompose:
         triv = trivial_expr(round_to_int(f).f_int)
         assert rep.exact
         assert expr.L <= max(2, triv.L)
+
+    def test_single_coset_with_noise_n10(self):
+        # in-budget noise must not turn two subgroup terms into point masses
+        f = outside_coset(10, 14)
+        rng = rng_for(15)
+        noisy = RealFn(f.ambient, f.values + rng.uniform(-1e-7, 1e-7, f.ambient.size))
+        expr, rep = decompose(noisy)
+        assert rep.exact and not rep.fallback_used
+        assert expr.L == 2
+
+    def test_eps0_does_not_change_the_terms(self):
+        f = outside_coset(10, 16)
+        expr, rep = decompose(f, DecomposeParams(eps0=0.4))
+        assert rep.exact and expr.L == 2
+        assert expr.terms == decompose(f)[0].terms
+        assert rep.splits[0]["eta"] == exact_support_eta(f.ambient)
+
+
+class TestDecomposeProperties:
+    @given(signed_flat_sums())
+    @settings(max_examples=80, deadline=None)
+    def test_exact_on_signed_integer_flat_sums(self, f):
+        expr, rep = decompose(f)
+        assert rep.exact and not rep.fallback_used
+        assert np.array_equal(expr_values(expr), np.rint(f.values).astype(np.int64))
+        assert len(rep.splits) == 1
+
+    @given(
+        signed_flat_sums(),
+        st.floats(0.0, 0.99 * EPS0),
+        st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_in_budget_noise_gives_the_rounding_terms(self, f, amplitude, seed):
+        noise = rng_for(seed).uniform(-amplitude, amplitude, f.ambient.size)
+        noisy = RealFn(f.ambient, f.values + noise)
+        got, rep = decompose(noisy)
+        want, _ = decompose(RealFn(f.ambient, np.rint(f.values)))
+        assert rep.exact
+        assert got.terms == want.terms
