@@ -63,7 +63,7 @@ def cmd_psi(args) -> int:
     f = _load(args.input)
     try:
         H = Subgroup.from_json(f.ambient, json.loads(args.subgroup))
-    except (ValueError, json.JSONDecodeError) as exc:
+    except (ValueError, TypeError) as exc:  # JSONDecodeError is a ValueError
         print(f"error: bad subgroup: {exc}", file=sys.stderr)
         return EXIT_BAD_INPUT
     g = psi(f, H)
@@ -105,7 +105,11 @@ def cmd_verify(args) -> int:
     if check is None:
         print(f"error: unknown law {args.law!r}", file=sys.stderr)
         return EXIT_BAD_INPUT
-    rep = check(args.n, args.trials, args.seed)
+    try:
+        rep = check(args.n, args.trials, args.seed)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_BAD_INPUT
     status = "PASS" if rep.passed else "FAIL"
     worst = rep.worst_margin if not math.isinf(rep.worst_margin) else float("nan")
     print(
@@ -130,7 +134,11 @@ def cmd_gen(args) -> int:
         return EXIT_BAD_INPUT
     rng = rng_for(args.seed)
     if args.kind == "coset-ring":
-        f, record = gen_coset_ring(ambient, args.flats, args.depth, rng)
+        try:
+            f, record = gen_coset_ring(ambient, args.flats, args.depth, rng)
+        except ValueError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return EXIT_BAD_INPUT
     elif args.kind == "random-boolean":
         f = gen_random_boolean(ambient, rng)
         record = {"n": args.n, "kind": "random-boolean", "seed": args.seed}

@@ -94,10 +94,10 @@ class Subgroup:
         return [int(v) for v in self.element_array()]
 
     def element_array(self) -> np.ndarray:
-        out = np.zeros(self.size, dtype=np.int64)
-        for i in range(1, self.size):
-            # Gray code: toggle the basis word indexed by the lowest set bit
-            out[i] = out[i - 1] ^ self.basis[(i & -i).bit_length() - 1]
+        out = np.zeros(1, dtype=np.int64)
+        for b in self.basis:
+            # reflected Gray code: consecutive entries differ in one basis word
+            out = np.concatenate((out, out[::-1] ^ b))
         return out
 
     def mask(self) -> np.ndarray:

@@ -55,6 +55,6 @@ def write_truth_table(path: str, f: RealFn) -> None:
     with open(path, "w") as fh:
         fh.write(f"n={f.ambient.n}\n")
         if np.array_equal(vals, vals.astype(bool).astype(float)):
-            fh.write("bits=" + "".join("1" if v else "0" for v in vals) + "\n")
+            fh.write("bits=" + (vals.astype(np.uint8) + ord("0")).tobytes().decode() + "\n")
         else:
             fh.write("real=" + " ".join(repr(float(v)) for v in vals) + "\n")

@@ -5,6 +5,11 @@ psi_H averages a function over cosets of H; on the Fourier side it
 restricts the spectrum to the annihilator H^perp.  The greedy
 spectral-support finder descends from H one codimension at a time,
 each step swallowing an offending coset of ell^1 spectral mass.
+
+Both run on coset sums computed without transforms: one XOR-gather fold
+per basis word (_coset_sums).  psi folds f over H's basis and divides by
+|H|; the descent folds |fhat| over H^perp once, then once per step with
+the adjoined frequency word.
 """
 
 from __future__ import annotations
@@ -15,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import fourier
-from .fourier import RealFn, Spectrum, iwht, wht
+from .fourier import RealFn, wht
 from .gf2 import Ambient, Subgroup, point_to_hex, rref_span
 
 
@@ -59,15 +64,35 @@ def psi(f: RealFn, H: Subgroup) -> RealFn:
     """Average f over cosets of H (spectrum restricted to H^perp)."""
     if f.ambient != H.ambient:
         raise fourier.AmbientMismatch("function and subgroup ambients differ")
-    s = wht(f)
-    restricted = np.where(H.annihilator().mask(), s.coeffs, 0.0)
-    return iwht(Spectrum(f.ambient, restricted))
+    return RealFn(f.ambient, _coset_sums(f.values, H) / H.size)
 
 
 def _coset_sums(table: np.ndarray, S: Subgroup) -> np.ndarray:
-    """out[x] = sum of table over the coset x + S, for every x."""
-    g = RealFn(S.ambient, table)
-    return S.size * psi(g, S).values
+    """out[x] = sum of table over the coset x + S, for every x.
+
+    One XOR-gather fold per basis word: the sums over span(D, b) are
+    s + s[x ^ b] for the sums s over D.  Each fold is symmetric in x and
+    x ^ b, so the result is bit-for-bit constant on every coset.  For
+    the trivial S the result is table itself, not a copy.
+    """
+    out = table
+    idx = np.arange(table.size)
+    for b in S.basis:
+        out = out + out[idx ^ b]
+    return out
+
+
+def _worst_off_coset(sums: np.ndarray, dual: Subgroup) -> tuple[float, int]:
+    """Largest coset sum off the proper subgroup dual, and the smallest
+    word attaining it to within 1e-12.
+
+    sums is constant on cosets of dual, so that word is also the
+    smallest member of its coset.
+    """
+    off = ~dual.mask()
+    worst = float(np.max(sums[off]))
+    rep = int(np.flatnonzero(off & (sums >= worst - 1e-12))[0])
+    return worst, rep
 
 
 def coset_spectral_mass(f: RealFn, H: Subgroup, r: int) -> float:
@@ -85,15 +110,7 @@ def spectral_support_level(f: RealFn, H: Subgroup) -> tuple[float, int]:
     Hp = H.annihilator()
     if Hp.dim == f.ambient.n:
         return 0.0, 0
-    absf = np.abs(wht(f).coeffs)
-    sums = _coset_sums(absf, Hp)
-    off = ~Hp.mask()
-    worst = float(np.max(sums[off]))
-    # all members of a coset share the mass (up to rounding); take the
-    # smallest word among near-maximal off frequencies as the rep
-    cand = np.nonzero(off & (sums >= worst - 1e-12))[0]
-    rep = int(np.min(Hp.element_array() ^ int(cand[0])))
-    return worst, rep
+    return _worst_off_coset(_coset_sums(np.abs(wht(f).coeffs), Hp), Hp)
 
 
 def is_spectrally_supported(f: RealFn, H: Subgroup, eta: float):
@@ -110,27 +127,25 @@ def find_spectral_support(f: RealFn, H: Subgroup, eta: float) -> SupportCertific
     Each step adjoins to the dual span the smallest frequency word of
     the coset with maximal offending mass; the step count is bounded by
     ceil(a_norm(f)/eta) since offending cosets are pairwise disjoint.
+    The coset sums of |fhat| are folded over H^perp once and then once
+    more per step, with the adjoined word.
     """
     if eta <= 0:
         raise ValueError("eta must be positive")
     ambient = f.ambient
-    absf = np.abs(wht(f).coeffs)
     dual = H.annihilator()
+    sums = _coset_sums(np.abs(wht(f).coeffs), dual)
+    idx = np.arange(ambient.size)
     steps = 0
     while True:
         if dual.dim == ambient.n:
             worst, rep = 0.0, 0
             break
-        sums = _coset_sums(absf, dual)
-        off = ~dual.mask()
-        worst = float(np.max(sums[off]))
+        worst, rep = _worst_off_coset(sums, dual)
         if worst <= eta:
-            cand = np.nonzero(off & (sums >= worst - 1e-12))[0]
-            rep = int(np.min(dual.element_array() ^ int(cand[0])))
             break
-        cand = np.nonzero(off & (sums >= worst - 1e-12))[0]
-        r_i = int(cand[0])  # smallest word maximizing coset mass
-        dual = rref_span(ambient, list(dual.basis) + [r_i])
+        dual = rref_span(ambient, list(dual.basis) + [rep])
+        sums = sums + sums[idx ^ rep]
         steps += 1
     return SupportCertificate(
         subgroup=dual.annihilator(),

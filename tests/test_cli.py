@@ -53,6 +53,17 @@ class TestTruthTableIO:
         g = read_truth_table(str(p))
         assert np.array_equal(g.values, [1.0, 0.5, -0.5, 0.25])
 
+    @pytest.mark.parametrize("n", [1, 8])
+    def test_bits_line_matches_char_join(self, tmp_path, n):
+        rng = np.random.default_rng(n)
+        a = Ambient(n)
+        for t in range(20):
+            vals = (rng.random(a.size) < 0.5).astype(float)
+            p = tmp_path / f"f{t}.txt"
+            write_truth_table(str(p), RealFn(a, vals))
+            bits = "".join("1" if v else "0" for v in vals)
+            assert p.read_bytes() == f"n={n}\nbits={bits}\n".encode()
+
     @pytest.mark.parametrize(
         "text",
         [
@@ -221,6 +232,29 @@ class TestBenchCmd:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["psi", "--subgroup", "5"],
+        ["psi", "--subgroup", "[5]"],
+        ["gen", "coset-ring", "--n", "6", "--flats", "0"],
+        ["verify", "tiny-norm", "--n", "6"],
+        ["verify", "roundtrip", "--n", "30"],
+    ],
+    ids=["psi-subgroup-int", "psi-subgroup-int-word", "gen-flats-0",
+         "verify-tiny-norm-n6", "verify-roundtrip-n30"],
+)
+def test_bad_flags_exit_2(argv, coset_table, tmp_path, capsys):
+    if argv[0] == "psi":
+        argv = argv + ["--input", coset_table[0]]
+    if argv[0] == "gen":
+        argv = argv + ["--out", str(tmp_path / "g.txt")]
+    assert main(argv) == EXIT_BAD_INPUT
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "Traceback" not in err
 
 
 class TestExitCodes:

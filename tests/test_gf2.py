@@ -163,6 +163,34 @@ class TestEnumerate:
         s = set(els)
         assert all(x ^ y in s for x in s for y in s)
 
+    @staticmethod
+    def gray_loop(H):
+        """Reference order: toggle the basis word indexed by the lowest
+        set bit of i."""
+        out = np.zeros(H.size, dtype=np.int64)
+        for i in range(1, H.size):
+            out[i] = out[i - 1] ^ H.basis[(i & -i).bit_length() - 1]
+        return out
+
+    @pytest.mark.parametrize("dim", range(13))
+    def test_reflected_order_matches_gray_loop(self, dim):
+        rng = np.random.default_rng(dim)
+        a = Ambient(14)
+        H = trivial(a)
+        while H.dim < dim:
+            H = rref_span(a, list(H.basis) + [int(rng.integers(1, a.size))])
+        got = H.element_array()
+        assert got.dtype == np.int64
+        assert np.array_equal(got, self.gray_loop(H))
+        assert H.elements() == [int(v) for v in got]
+
+    @given(st.integers(1, 8).flatmap(lambda n: subgroups(n)))
+    @settings(max_examples=50, deadline=None)
+    def test_mask_is_membership(self, H):
+        assert np.array_equal(
+            np.flatnonzero(H.mask()), sorted(H.elements())
+        )
+
 
 class TestSerialization:
     def test_hex_roundtrip(self):

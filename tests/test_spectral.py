@@ -2,12 +2,16 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from specnorm.fourier import RealFn, constant, wht
-from specnorm.generate import flat_indicator, random_subgroup, rng_for
+from specnorm.decompose import exact_support_eta
+from specnorm.fourier import RealFn, Spectrum, constant, iwht, wht
+from specnorm.generate import flat_indicator, gen_coset_ring, random_subgroup, rng_for
 from specnorm.gf2 import Ambient, full, rref_span, trivial
 from specnorm.spectral import (
     NotAlmostInteger,
+    _coset_sums,
     a_norm,
     approx_hom_defect,
     coset_spectral_mass,
@@ -21,6 +25,20 @@ from specnorm.spectral import (
 )
 
 THREE_CORNER = RealFn(Ambient(2), [1.0, 1.0, 1.0, 0.0])
+
+
+@st.composite
+def tables_and_subgroups(draw, values, max_n=6):
+    """(f, H) on F_2^n, n <= max_n, with f's entries drawn from values."""
+    n = draw(st.integers(1, max_n))
+    a = Ambient(n)
+    vals = draw(st.lists(values, min_size=a.size, max_size=a.size))
+    gens = draw(st.lists(st.integers(0, a.size - 1), max_size=n + 1))
+    return RealFn(a, vals), rref_span(a, gens)
+
+
+REALS = st.floats(-4.0, 4.0, allow_nan=False)
+SMALL_INTS = st.integers(-3, 3).map(float)
 
 
 class TestANorm:
@@ -94,6 +112,61 @@ class TestPsi:
             H = random_subgroup(a, rng)
             f1 = psi(f, H)
             assert a_norm(f) == pytest.approx(a_norm(f1) + a_norm(f - f1), abs=1e-9)
+
+
+class TestPsiProperties:
+    @given(tables_and_subgroups(REALS))
+    @settings(max_examples=100, deadline=None)
+    def test_idempotent(self, fH):
+        f, H = fH
+        once = psi(f, H)
+        assert np.array_equal(psi(once, H).values, once.values)
+
+    @given(tables_and_subgroups(REALS))
+    @settings(max_examples=100, deadline=None)
+    def test_contractive(self, fH):
+        f, H = fH
+        g = psi(f, H)
+        assert np.max(np.abs(g.values)) <= np.max(np.abs(f.values)) + 1e-12
+        assert a_norm(g) <= a_norm(f) + 1e-9
+
+    @given(tables_and_subgroups(REALS))
+    @settings(max_examples=100, deadline=None)
+    def test_restricts_spectrum_to_annihilator(self, fH):
+        f, H = fH
+        want = np.where(H.annihilator().mask(), wht(f).coeffs, 0.0)
+        assert np.max(np.abs(wht(psi(f, H)).coeffs - want)) <= 1e-12
+
+    @given(tables_and_subgroups(SMALL_INTS))
+    @settings(max_examples=100, deadline=None)
+    def test_integer_table_is_exact(self, fH):
+        f, H = fH
+        sums = H.size * psi(f, H).values
+        assert np.array_equal(sums, np.rint(sums))
+        want = [sum(f.values[x ^ h] for h in H.elements()) for x in range(f.ambient.size)]
+        assert np.array_equal(sums, want)
+
+
+class TestCosetSums:
+    def test_matches_brute_force(self):
+        rng = rng_for(11)
+        for n in range(1, 7):
+            a = Ambient(n)
+            for _ in range(10):
+                S = random_subgroup(a, rng)
+                table = rng.uniform(-1, 1, a.size)
+                got = _coset_sums(table, S)
+                elems = S.element_array()
+                want = np.array([np.sum(table[elems ^ x]) for x in range(a.size)])
+                assert np.allclose(got, want, rtol=0, atol=1e-12)
+
+    def test_constant_on_cosets(self):
+        rng = rng_for(12)
+        a = Ambient(8)
+        S = rref_span(a, [0b10110001, 0b01100110, 0b00011011])
+        sums = _coset_sums(rng.uniform(-1, 1, a.size), S)
+        for x in range(a.size):
+            assert np.all(sums[S.element_array() ^ x] == sums[x])
 
 
 class TestCosetSpectralMass:
@@ -186,6 +259,37 @@ class TestFindSpectralSupport:
         cert = find_spectral_support(THREE_CORNER, full(Ambient(2)), 0.3)
         doc = cert.to_json()
         assert set(doc) == {"subgroup", "eta", "steps", "worst_coset", "worst_mass"}
+
+
+def reference_descent(f, eta):
+    """The descent with every step's coset sums of |fhat| recomputed
+    through a forward and an inverse transform (dual starts trivial)."""
+    a = f.ambient
+    absf = np.abs(wht(f).coeffs)
+    dual = trivial(a)
+    steps = 0
+    while dual.dim < a.n:
+        restricted = np.where(dual.annihilator().mask(), wht(RealFn(a, absf)).coeffs, 0.0)
+        sums = dual.size * iwht(Spectrum(a, restricted)).values
+        off = ~dual.mask()
+        worst = float(np.max(sums[off]))
+        cand = int(np.flatnonzero(off & (sums >= worst - 1e-12))[0])
+        if worst <= eta:
+            return dual.annihilator(), steps, int(np.min(dual.element_array() ^ cand))
+        dual = rref_span(a, list(dual.basis) + [cand])
+        steps += 1
+    return dual.annihilator(), steps, 0
+
+
+def test_descent_matches_transform_reference_on_acceptance_recipe():
+    for t in range(200):
+        rng = rng_for(2026, 90_000 + t)
+        n = int(rng.integers(5, 11))
+        f, _ = gen_coset_ring(Ambient(n), 1 + t % 4, t % 4, rng)
+        eta = exact_support_eta(f.ambient)
+        cert = find_spectral_support(f, full(f.ambient), eta)
+        got = (cert.subgroup, cert.steps_used, cert.worst_coset_rep)
+        assert got == reference_descent(f, eta), t
 
 
 class TestApproxHom:
