@@ -69,13 +69,10 @@ def exact_support_eta(ambient: Ambient) -> float:
 @dataclass(frozen=True)
 class DecomposeParams:
     eps0: float = 2.0**-20
-    mode: str = "heuristic"  # heuristic | fallback-only
 
     def __post_init__(self):
         if not 0 < self.eps0 < 0.5:
             raise ValueError("eps0 must lie in (0, 1/2)")
-        if self.mode not in ("heuristic", "fallback-only"):
-            raise ValueError(f"unknown mode {self.mode!r}")
 
 
 @dataclass
@@ -191,19 +188,17 @@ def decompose(
             f"deviation {base.eps} exceeds the eps0 budget {params.eps0}"
         )
     report = DecomposeReport()
-    outcome = None
-    if params.mode == "heuristic":
-        outcome = inductive_step(base, exact_support_eta(f.ambient))
-        report.splits.append(
-            {
-                "a_norm_before": outcome.a_norm_before,
-                "a_norm_f1": outcome.a_norm_parts[0],
-                "a_norm_f2": outcome.a_norm_parts[1],
-                "eta": outcome.certificate.eta,
-                "eps_level": max(base.eps, params.eps0),
-            }
-        )
-    if outcome is None or outcome.terms is None:
+    outcome = inductive_step(base, exact_support_eta(f.ambient))
+    report.splits.append(
+        {
+            "a_norm_before": outcome.a_norm_before,
+            "a_norm_f1": outcome.a_norm_parts[0],
+            "a_norm_f2": outcome.a_norm_parts[1],
+            "eta": outcome.certificate.eta,
+            "eps_level": max(base.eps, params.eps0),
+        }
+    )
+    if outcome.terms is None:
         expr = trivial_expr(base.f_int)
         report.fallback_used = True
     else:

@@ -4,41 +4,35 @@ The transform uses the probability-measure normalization
 fhat(r) = 2^-n * sum_x f(x) (-1)^popcount(r & x), so spectral-side
 norms use counting measure and function-side norms use the average.
 
-The butterfly kernel is a compiled extension when available, with a
-pure-numpy fallback selected at import.  Both produce bit-identical
-output; SPECNORM_BACKEND=python forces the fallback.
+The butterfly is one numpy kernel, _wht_inplace.  BACKEND names it for
+reports that record which kernel ran.
 """
 
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass
 
 import numpy as np
 
 from .gf2 import Ambient, AmbientMismatch, point_to_hex
 
-if os.environ.get("SPECNORM_BACKEND", "").lower() == "python":
-    from ._wht_numpy import wht_inplace
+BACKEND = "python"
 
-    BACKEND = "python"
-else:
-    try:
-        from ._wht_cython import wht_inplace
 
-        BACKEND = "cython"
-    except ImportError:  # extension not built
-        from ._wht_numpy import wht_inplace
-
-        BACKEND = "python"
-
-from ._wht_numpy import wht_inplace as wht_inplace_python
-
-try:
-    from ._wht_cython import wht_inplace as wht_inplace_cython
-except ImportError:
-    wht_inplace_cython = None
+def _wht_inplace(a: np.ndarray) -> None:
+    """Unnormalized butterfly.  Stage order ascending, index order
+    ascending within each stage: each output element is a single
+    add/subtract of two stage inputs."""
+    n = a.size
+    h = 1
+    while h < n:
+        b = a.reshape(-1, 2 * h)
+        lo = b[:, :h].copy()
+        hi = b[:, h:].copy()
+        b[:, :h] = lo + hi
+        b[:, h:] = lo - hi
+        h *= 2
 
 
 def _as_table(ambient: Ambient, values) -> np.ndarray:
@@ -108,14 +102,14 @@ def indicator(ambient: Ambient, points) -> RealFn:
 
 def wht(f: RealFn) -> Spectrum:
     a = f.values.copy()
-    wht_inplace(a)
+    _wht_inplace(a)
     a /= f.ambient.size
     return Spectrum(f.ambient, a)
 
 
 def iwht(s: Spectrum) -> RealFn:
     a = s.coeffs.copy()
-    wht_inplace(a)
+    _wht_inplace(a)
     return RealFn(s.ambient, a)
 
 

@@ -138,6 +138,9 @@ class Subgroup:
 
     @staticmethod
     def from_json(ambient: Ambient, data) -> "Subgroup":
+        """Inverse of to_json: data must be a list of hex strings."""
+        if not isinstance(data, list) or not all(isinstance(s, str) for s in data):
+            raise ValueError("a subgroup must be a JSON array of hex strings")
         return rref_span(ambient, [point_from_hex(s) for s in data])
 
 

@@ -8,6 +8,8 @@ x = 0 .. 2^n - 1 with bit i of the index as coordinate i.
 
 from __future__ import annotations
 
+import re
+
 import numpy as np
 
 from .fourier import RealFn
@@ -18,32 +20,45 @@ class MalformedInput(ValueError):
     pass
 
 
+_BLANK = re.compile(r"\s*")
+
+
+def _line_at(text: str, pos: int) -> tuple[int, int]:
+    """Start and end offsets of the first non-blank line at or after pos,
+    its leading whitespace skipped."""
+    start = _BLANK.match(text, pos).end()
+    end = text.find("\n", start)
+    return start, len(text) if end < 0 else end
+
+
 def read_truth_table(path: str) -> RealFn:
     with open(path) as fh:
         text = fh.read()
-    lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
-    if not lines or not lines[0].startswith("n="):
+    # offsets into text, not a list of lines: a real= body of 2^n
+    # decimals is copied once, into the one numpy parse
+    start, end = _line_at(text, 0)
+    header = text[start:end].strip()
+    if not header.startswith("n="):
         raise MalformedInput("first line must be n=<int>")
     try:
-        n = int(lines[0][2:])
+        n = int(header[2:])
         ambient = Ambient(n)
     except ValueError as exc:
         raise MalformedInput(str(exc)) from exc
-    if len(lines) < 2:
+    start, end = _line_at(text, end)
+    if start == len(text):
         raise MalformedInput("missing value line")
-    body = lines[1]
-    if body.startswith("bits="):
-        bits = body[5:]
+    if text.startswith("bits=", start):
+        bits = text[start + 5:end].rstrip()
         if len(bits) != ambient.size or set(bits) - {"0", "1"}:
             raise MalformedInput(f"bits= needs exactly {ambient.size} chars of 0/1")
         vals = np.frombuffer(bits.encode(), dtype=np.uint8) - ord("0")
         return RealFn(ambient, vals.astype(np.float64))
-    if body.startswith("real="):
-        tokens = (body[5:] + " " + " ".join(lines[2:])).split()
-        if len(tokens) != ambient.size:
-            raise MalformedInput(f"real= needs exactly {ambient.size} decimals")
+    if text.startswith("real=", start):
         try:
-            vals = np.array([float(t) for t in tokens])
+            vals = np.fromstring(text[start + 5:], sep=" ")
+            if vals.size != ambient.size:  # a blank body parses as [-1.0]
+                raise ValueError(f"real= needs exactly {ambient.size} decimals")
             return RealFn(ambient, vals)
         except ValueError as exc:
             raise MalformedInput(str(exc)) from exc

@@ -47,6 +47,16 @@ class TestTruthTableIO:
         g = read_truth_table(str(p))
         assert np.allclose(g.values, f.values, atol=0)
 
+    def test_real_roundtrip_bit_exact(self, tmp_path):
+        # random bit patterns reach subnormals, -0.0 and extreme exponents
+        bits = np.random.default_rng(0).integers(0, 2**64, 1 << 12, dtype=np.uint64)
+        vals = bits.view(np.float64)
+        vals[~np.isfinite(vals)] = 0.5
+        p = tmp_path / "f.txt"
+        write_truth_table(str(p), RealFn(Ambient(12), vals))
+        g = read_truth_table(str(p))
+        assert np.array_equal(g.values.view(np.uint64), vals.view(np.uint64))
+
     def test_real_multiline(self, tmp_path):
         p = tmp_path / "f.txt"
         p.write_text("n=2\nreal=1.0 0.5\n-0.5 0.25\n")
@@ -74,6 +84,9 @@ class TestTruthTableIO:
             "n=0\nbits=\n",
             "n=2\nreal=1.0 0.5 nan 0.0\n",
             "n=2\nreal=1.0 0.5\n",
+            "n=2\nreal=1.0,0.5,0.0,0.0\n",
+            "n=2\nreal=1.0 0.5 0.0 0.0 x\n",
+            "n=2\nreal= \n \n",
         ],
     )
     def test_malformed(self, tmp_path, text):
@@ -135,26 +148,6 @@ class TestDecomposeCmd:
         assert code == EXIT_OK
         doc = json.loads(out.read_text())
         assert doc["exact"] and doc["L"] == 2 and doc["n"] == 4
-
-    def test_fallback_only_mode(self, coset_table, capsys):
-        path, _ = coset_table
-        code = main(["decompose", "--input", path, "--mode", "fallback-only"])
-        assert code == EXIT_OK
-        doc = json.loads(capsys.readouterr().out)
-        assert doc["exact"] and doc["report"]["fallback_used"]
-
-    def test_no_fallback_flag(self, tmp_path, capsys):
-        a = Ambient(4)
-        rng = np.random.default_rng(7)
-        f = RealFn(a, (rng.random(a.size) < 0.5).astype(float))
-        path = tmp_path / "rand.txt"
-        write_truth_table(str(path), f)
-        code = main(["decompose", "--input", str(path), "--no-fallback"])
-        doc = json.loads(capsys.readouterr().out)
-        if doc["report"]["fallback_used"]:
-            assert code == EXIT_INCOMPLETE
-        else:
-            assert code == EXIT_OK
 
     def test_non_integer_input(self, tmp_path):
         p = tmp_path / "f.txt"
@@ -242,9 +235,19 @@ class TestBenchCmd:
         ["gen", "coset-ring", "--n", "6", "--flats", "0"],
         ["verify", "tiny-norm", "--n", "6"],
         ["verify", "roundtrip", "--n", "30"],
+        ["psi", "--subgroup", "{}"],
+        ["psi", "--subgroup", '{"0x3": 1}'],
+        ["psi", "--subgroup", '"3"'],
+        ["verify", "pd", "--n", "30"],
+        ["verify", "tiny-norm", "--n", "0"],
+        ["verify", "approx-hom", "--trials", "0"],
+        ["verify", "roundtrip", "--trials", "0"],
     ],
     ids=["psi-subgroup-int", "psi-subgroup-int-word", "gen-flats-0",
-         "verify-tiny-norm-n6", "verify-roundtrip-n30"],
+         "verify-tiny-norm-n6", "verify-roundtrip-n30",
+         "psi-subgroup-object", "psi-subgroup-object-keys", "psi-subgroup-string",
+         "verify-pd-n30", "verify-tiny-norm-n0", "verify-approx-hom-trials-0",
+         "verify-roundtrip-trials-0"],
 )
 def test_bad_flags_exit_2(argv, coset_table, tmp_path, capsys):
     if argv[0] == "psi":

@@ -1,3 +1,5 @@
+import importlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -23,6 +25,8 @@ from specnorm.spectral import NotAlmostInteger, a_norm, round_to_int
 
 
 EPS0 = DecomposeParams().eps0
+# the package re-exports the function decompose under the module's name
+decompose_module = importlib.import_module("specnorm.decompose")
 
 
 def expr_values(expr):
@@ -194,10 +198,14 @@ class TestDecompose:
                     s["a_norm_before"], abs=1e-9
                 )
 
-    def test_fallback_only(self):
+    def test_fallback_only(self, monkeypatch):
+        # at exact_support_eta the step always reaches the exact support;
+        # a coarse eta is what leaves its terms unset and takes the
+        # point-mass safety net
+        monkeypatch.setattr(decompose_module, "exact_support_eta", lambda ambient: 10.0)
         a = Ambient(4)
         f = indicator(a, [1, 2, 4])
-        expr, rep = decompose(f, DecomposeParams(mode="fallback-only"))
+        expr, rep = decompose(f)
         assert rep.exact and rep.fallback_used
         assert np.array_equal(expr_values(expr), np.rint(f.values).astype(np.int64))
 
@@ -224,10 +232,6 @@ class TestDecompose:
     def test_bad_params(self):
         with pytest.raises(ValueError):
             DecomposeParams(eps0=0.7)
-        with pytest.raises(ValueError):
-            DecomposeParams(mode="magic")
-        with pytest.raises(ValueError):
-            DecomposeParams(mode="exhaustive")
 
     def test_json(self):
         a = Ambient(4)

@@ -3,7 +3,6 @@ import math
 import numpy as np
 import pytest
 
-from specnorm import fourier
 from specnorm.fourier import (
     RealFn,
     Spectrum,
@@ -54,18 +53,6 @@ class TestWht:
         rng = np.random.default_rng(n)
         f = RealFn(Ambient(n), rng.uniform(-1, 1, 1 << n))
         assert np.allclose(wht(f).coeffs, naive_wht(f), atol=1e-12)
-
-    def test_backends_agree_bitwise(self):
-        from specnorm._wht_numpy import wht_inplace as py_kernel
-
-        if fourier.wht_inplace_cython is None:
-            pytest.skip("extension not built")
-        rng = np.random.default_rng(7)
-        a = rng.uniform(-1, 1, 1 << 10)
-        b = a.copy()
-        py_kernel(a)
-        fourier.wht_inplace_cython(b)
-        assert np.array_equal(a, b)
 
 
 class TestIwht:
