@@ -6,14 +6,14 @@ and the concentration-subgroup search.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import combinations
 
 import numpy as np
 
 from . import fourier, spectral
 from .fourier import RealFn, Spectrum, iwht, wht
-from .gf2 import Ambient, AmbientMismatch, Subgroup, full, rref_span, trivial
+from .gf2 import Ambient, AmbientMismatch, Subgroup, rref_span, trivial
 from .spectral import AlmostIntFn
 
 

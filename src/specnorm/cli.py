@@ -1,7 +1,8 @@
 """Command-line front end.
 
 Exit codes: 0 ok, 1 law failure, 2 bad input or flags, 3 a
-decomposition that does not evaluate exactly to rint(f).
+decomposition that does not evaluate exactly to rint(f).  ``main`` is
+the single place where input errors become exit 2.
 """
 
 from __future__ import annotations
@@ -18,10 +19,10 @@ import numpy as np
 from . import fourier, laws
 from .decompose import DecomposeParams, decompose, decomposition_json
 from .fourier import RealFn, spectrum_to_json, wht
-from .generate import flat_indicator, gen_coset_ring, gen_random_boolean, random_flat, random_subgroup, rng_for
+from .generate import flat_indicator, gen_coset_ring, gen_random_boolean, random_subgroup, rng_for
 from .gf2 import Ambient, Subgroup
-from .io import MalformedInput, read_truth_table, write_truth_table
-from .spectral import NotAlmostInteger, a_norm, psi
+from .io import read_truth_table, write_truth_table
+from .spectral import a_norm, psi
 
 EXIT_OK = 0
 EXIT_LAW_FAILURE = 1
@@ -29,16 +30,8 @@ EXIT_BAD_INPUT = 2
 EXIT_INCOMPLETE = 3
 
 
-def _load(path: str) -> RealFn:
-    try:
-        return read_truth_table(path)
-    except (OSError, MalformedInput) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        raise SystemExit(EXIT_BAD_INPUT)
-
-
 def cmd_wht(args) -> int:
-    f = _load(args.input)
+    f = read_truth_table(args.input)
     s = wht(f)
     parseval = abs(
         float(np.mean(f.values**2)) - float(np.sum(s.coeffs**2))
@@ -54,18 +47,14 @@ def cmd_wht(args) -> int:
 
 
 def cmd_anorm(args) -> int:
-    f = _load(args.input)
+    f = read_truth_table(args.input)
     print(f"a_norm={a_norm(f)!r}")
     return EXIT_OK
 
 
 def cmd_psi(args) -> int:
-    f = _load(args.input)
-    try:
-        H = Subgroup.from_json(f.ambient, json.loads(args.subgroup))
-    except ValueError as exc:  # JSONDecodeError is a ValueError
-        print(f"error: bad subgroup: {exc}", file=sys.stderr)
-        return EXIT_BAD_INPUT
+    f = read_truth_table(args.input)
+    H = Subgroup.from_json(f.ambient, json.loads(args.subgroup))
     g = psi(f, H)
     if args.out:
         write_truth_table(args.out, g)
@@ -75,17 +64,8 @@ def cmd_psi(args) -> int:
 
 
 def cmd_decompose(args) -> int:
-    f = _load(args.input)
-    try:
-        params = DecomposeParams(eps0=args.eps0)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_BAD_INPUT
-    try:
-        expr, report = decompose(f, params)
-    except NotAlmostInteger as exc:
-        print(f"error: input is not almost integer-valued: {exc}", file=sys.stderr)
-        return EXIT_BAD_INPUT
+    f = read_truth_table(args.input)
+    expr, report = decompose(f, DecomposeParams(eps0=args.eps0))
     doc = decomposition_json(expr, report)
     out = json.dumps(doc, indent=1)
     if args.out:
@@ -97,18 +77,10 @@ def cmd_decompose(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    check = laws.CHECKS.get(args.law)
-    if check is None:
-        print(f"error: unknown law {args.law!r}", file=sys.stderr)
-        return EXIT_BAD_INPUT
-    try:
-        Ambient(args.n)  # checked for every law, also those that ignore it
-        if args.trials < 1:
-            raise ValueError(f"--trials must be >= 1, got {args.trials}")
-        rep = check(args.n, args.trials, args.seed)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_BAD_INPUT
+    Ambient(args.n)  # checked for every law, also those that ignore it
+    if args.trials < 1:
+        raise ValueError(f"--trials must be >= 1, got {args.trials}")
+    rep = laws.CHECKS[args.law](args.n, args.trials, args.seed)
     status = "PASS" if rep.passed else "FAIL"
     worst = rep.worst_margin if not math.isinf(rep.worst_margin) else float("nan")
     print(
@@ -126,28 +98,17 @@ def cmd_verify(args) -> int:
 
 
 def cmd_gen(args) -> int:
-    try:
-        ambient = Ambient(args.n)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_BAD_INPUT
+    ambient = Ambient(args.n)
     rng = rng_for(args.seed)
     if args.kind == "coset-ring":
-        try:
-            f, record = gen_coset_ring(ambient, args.flats, args.depth, rng)
-        except ValueError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return EXIT_BAD_INPUT
+        f, record = gen_coset_ring(ambient, args.flats, args.depth, rng)
     elif args.kind == "random-boolean":
         f = gen_random_boolean(ambient, rng)
         record = {"n": args.n, "kind": "random-boolean", "seed": args.seed}
-    elif args.kind == "subgroup":
+    else:  # "subgroup"
         H = random_subgroup(ambient, rng)
         f = flat_indicator(H, 0)
         record = {"n": args.n, "kind": "subgroup", "basis": H.to_json()}
-    else:
-        print(f"error: unknown generator {args.kind!r}", file=sys.stderr)
-        return EXIT_BAD_INPUT
     write_truth_table(args.out, f)
     with open(args.out + ".json", "w") as fh:
         json.dump(record, fh, indent=1)
@@ -169,14 +130,9 @@ def _bench_one(fn, reps: int) -> dict:
 
 
 def cmd_bench(args) -> int:
-    if args.what in ("wht", "anorm") and args.n > 24 or args.what == "decompose" and args.n > 12:
-        print("error: n too large for this benchmark", file=sys.stderr)
-        return EXIT_BAD_INPUT
-    try:
-        ambient = Ambient(args.n)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_BAD_INPUT
+    if args.what == "decompose" and args.n > 12:
+        raise ValueError("n too large for this benchmark")
+    ambient = Ambient(args.n)  # wht and anorm: n <= gf2.MAX_N
     rng = rng_for(args.seed)
     results = {}
     if args.what in ("wht", "anorm"):
@@ -260,7 +216,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    return args.fn(args)
+    # The one input boundary.  OSError: a file that cannot be read or
+    # written.  ValueError: MalformedInput, NotAlmostInteger, JSONDecodeError
+    # and UnicodeDecodeError derive from it; Ambient, Subgroup.from_json,
+    # DecomposeParams and gen_coset_ring raise it.
+    try:
+        return args.fn(args)
+    except (OSError, ValueError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_BAD_INPUT
 
 
 if __name__ == "__main__":

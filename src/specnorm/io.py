@@ -32,8 +32,11 @@ def _line_at(text: str, pos: int) -> tuple[int, int]:
 
 
 def read_truth_table(path: str) -> RealFn:
-    with open(path) as fh:
-        text = fh.read()
+    try:
+        with open(path, encoding="utf-8") as fh:
+            text = fh.read()
+    except UnicodeDecodeError as exc:
+        raise MalformedInput(str(exc)) from exc
     # offsets into text, not a list of lines: a real= body of 2^n
     # decimals is copied once, into the one numpy parse
     start, end = _line_at(text, 0)

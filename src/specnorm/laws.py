@@ -15,19 +15,20 @@ from statistics import median
 
 import numpy as np
 
-from . import fourier, spectral
+from . import spectral
 from .additive import (
     PointSet,
     bogolyubov_subgroup,
     is_arithmetically_connected,
     iterated,
+    nu4,
     s_eta,
     set_stats,
     spec_set,
     sumset,
 )
 from .decompose import decompose, trivial_expr
-from .fourier import RealFn, convolve, lp_norm, wht
+from .fourier import RealFn, convolve, lp_norm
 from .generate import (
     gen_coset_ring,
     random_structured_set_mask,
@@ -313,9 +314,7 @@ def check_lemma14(n: int, trials: int, seed: int) -> LawReport:
         eta0 = 1.0 / (2.0 * K**4)
         eps = 1.0 / (64.0 * K**12)
         L = math.ceil(1.0 / (4.0 * K**4 * eps))
-        nu = fourier.iwht(
-            fourier.Spectrum(ambient, wht(A.indicator()).coeffs ** 4)
-        ).values
+        nu = nu4(A).values
         budget = alpha / (16.0 * K**4)
         j_found = None
         prev = float(np.mean(nu >= eta0 * alpha**3 - 1e-12))

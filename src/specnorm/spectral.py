@@ -21,7 +21,7 @@ import numpy as np
 
 from . import fourier
 from .fourier import RealFn, wht
-from .gf2 import Ambient, Subgroup, point_to_hex, rref_span
+from .gf2 import Subgroup, point_to_hex, rref_span
 
 
 class NotAlmostInteger(ValueError):

@@ -87,11 +87,12 @@ class TestTruthTableIO:
             "n=2\nreal=1.0,0.5,0.0,0.0\n",
             "n=2\nreal=1.0 0.5 0.0 0.0 x\n",
             "n=2\nreal= \n \n",
+            b"n=2\nreal=1.0 \xff 0.0 0.0\n",  # not UTF-8
         ],
     )
     def test_malformed(self, tmp_path, text):
         p = tmp_path / "bad.txt"
-        p.write_text(text)
+        p.write_bytes(text if isinstance(text, bytes) else text.encode())
         with pytest.raises(MalformedInput):
             read_truth_table(str(p))
 
@@ -114,10 +115,11 @@ class TestWhtAnorm:
         val = float(capsys.readouterr().out.split("=")[1])
         assert val == pytest.approx(1.0, abs=1e-12)
 
-    def test_missing_file(self, tmp_path):
-        with pytest.raises(SystemExit) as ei:
-            main(["anorm", "--input", str(tmp_path / "nope.txt")])
-        assert ei.value.code == EXIT_BAD_INPUT
+    def test_missing_file(self, tmp_path, capsys):
+        code = main(["anorm", "--input", str(tmp_path / "nope.txt")])
+        assert code == EXIT_BAD_INPUT
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
 
 
 class TestPsi:
@@ -227,33 +229,46 @@ class TestBenchCmd:
         assert "Traceback" not in err
 
 
+# path placeholders, filled in per test: TABLE a valid truth table, OUT a
+# writable file, MISSING a file in a directory that does not exist, BINARY
+# a table with a 0xff byte, DIR a directory
 @pytest.mark.parametrize(
     "argv",
     [
-        ["psi", "--subgroup", "5"],
-        ["psi", "--subgroup", "[5]"],
-        ["gen", "coset-ring", "--n", "6", "--flats", "0"],
+        ["psi", "--input", "TABLE", "--subgroup", "5"],
+        ["psi", "--input", "TABLE", "--subgroup", "[5]"],
+        ["gen", "coset-ring", "--n", "6", "--flats", "0", "--out", "OUT"],
         ["verify", "tiny-norm", "--n", "6"],
         ["verify", "roundtrip", "--n", "30"],
-        ["psi", "--subgroup", "{}"],
-        ["psi", "--subgroup", '{"0x3": 1}'],
-        ["psi", "--subgroup", '"3"'],
+        ["psi", "--input", "TABLE", "--subgroup", "{}"],
+        ["psi", "--input", "TABLE", "--subgroup", '{"0x3": 1}'],
+        ["psi", "--input", "TABLE", "--subgroup", '"3"'],
         ["verify", "pd", "--n", "30"],
         ["verify", "tiny-norm", "--n", "0"],
         ["verify", "approx-hom", "--trials", "0"],
         ["verify", "roundtrip", "--trials", "0"],
+        ["wht", "--input", "TABLE", "--out", "MISSING"],
+        ["psi", "--input", "TABLE", "--subgroup", '["0x3"]', "--out", "MISSING"],
+        ["decompose", "--input", "TABLE", "--out", "MISSING"],
+        ["gen", "coset-ring", "--n", "6", "--out", "MISSING"],
+        ["anorm", "--input", "BINARY"],
+        ["anorm", "--input", "DIR"],
     ],
     ids=["psi-subgroup-int", "psi-subgroup-int-word", "gen-flats-0",
          "verify-tiny-norm-n6", "verify-roundtrip-n30",
          "psi-subgroup-object", "psi-subgroup-object-keys", "psi-subgroup-string",
          "verify-pd-n30", "verify-tiny-norm-n0", "verify-approx-hom-trials-0",
-         "verify-roundtrip-trials-0"],
+         "verify-roundtrip-trials-0", "wht-out-missing-dir",
+         "psi-out-missing-dir", "decompose-out-missing-dir",
+         "gen-out-missing-dir", "anorm-input-not-utf8", "anorm-input-dir"],
 )
 def test_bad_flags_exit_2(argv, coset_table, tmp_path, capsys):
-    if argv[0] == "psi":
-        argv = argv + ["--input", coset_table[0]]
-    if argv[0] == "gen":
-        argv = argv + ["--out", str(tmp_path / "g.txt")]
+    binary = tmp_path / "binary.txt"
+    binary.write_bytes(b"n=2\nreal=1.0 \xff 0.0 0.0\n")
+    paths = {"TABLE": coset_table[0], "OUT": str(tmp_path / "g.txt"),
+             "MISSING": str(tmp_path / "no-such-dir" / "out"),
+             "BINARY": str(binary), "DIR": str(tmp_path)}
+    argv = [paths.get(a, a) for a in argv]
     assert main(argv) == EXIT_BAD_INPUT
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
