@@ -76,24 +76,40 @@ def cmd_decompose(args) -> int:
     return EXIT_OK if report.exact else EXIT_INCOMPLETE
 
 
+# verify's --n, --trials and --seed default to None, so that a flag given
+# to a law that does not read it is refused rather than dropped
+VERIFY_UNREAD = {"tiny-norm": ("trials", "seed"), "pd": ("n", "trials", "seed")}
+
+
 def cmd_verify(args) -> int:
-    Ambient(args.n)  # checked for every law, also those that ignore it
-    if args.trials < 1:
-        raise ValueError(f"--trials must be >= 1, got {args.trials}")
-    rep = laws.CHECKS[args.law](args.n, args.trials, args.seed)
-    status = "PASS" if rep.passed else "FAIL"
-    worst = rep.worst_margin if not math.isinf(rep.worst_margin) else float("nan")
-    print(
-        f"{rep.law_id:<14} {status}  trials={rep.trials} failures={rep.failures} "
-        f"worst_margin={worst:.3e} elapsed={rep.elapsed:.2f}s"
-    )
-    for k, v in rep.notes.items():
-        print(f"  note {k}={v}")
+    for flag in VERIFY_UNREAD.get(args.law, ()):
+        if getattr(args, flag) is not None:
+            raise ValueError(f"verify {args.law} does not take --{flag}")
+    if args.n is not None:
+        n = args.n  # each law that reads n checks it with Ambient(n)
+    else:  # the exhaustive tiny-norm sweep stops at n = 4
+        n = 4 if args.law == "tiny-norm" else 8
+    trials = 100 if args.trials is None else args.trials
+    if trials < 1:
+        raise ValueError(f"--trials must be >= 1, got {trials}")
+    rep = laws.CHECKS[args.law](n, trials, 0 if args.seed is None else args.seed)
+    if args.json:
+        print(json.dumps(rep.to_json(), indent=1))
+    else:
+        status = "PASS" if rep.passed else "FAIL"
+        worst = rep.worst_margin if not math.isinf(rep.worst_margin) else float("nan")
+        print(
+            f"{rep.law_id:<14} {status}  trials={rep.trials} failures={rep.failures} "
+            f"worst_margin={worst:.3e} elapsed={rep.elapsed:.2f}s"
+        )
+        for k, v in rep.notes.items():
+            print(f"  note {k}={v}")
     if rep.counterexample is not None:
         path = f"{rep.law_id}-counterexample.json"
         with open(path, "w") as fh:
             json.dump(rep.counterexample, fh, indent=1)
-        print(f"  counterexample written to {path}")
+        if not args.json:
+            print(f"  counterexample written to {path}")
     return EXIT_OK if rep.passed else EXIT_LAW_FAILURE
 
 
@@ -189,9 +205,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("verify", help="run a law check")
     sp.add_argument("law", choices=sorted(laws.CHECKS))
-    sp.add_argument("--n", type=int, default=8)
-    sp.add_argument("--trials", type=int, default=100)
-    sp.add_argument("--seed", type=int, default=0)
+    sp.add_argument("--n", type=int, help="default 8; 4 for tiny-norm; not for pd")
+    sp.add_argument("--trials", type=int, help="default 100; not for tiny-norm or pd")
+    sp.add_argument("--seed", type=int, help="default 0; not for tiny-norm or pd")
+    sp.add_argument("--json", action="store_true",
+                    help="print the report as one JSON document")
     sp.set_defaults(fn=cmd_verify)
 
     sp = sub.add_parser("gen", help="generate a test instance")

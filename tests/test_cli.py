@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from specnorm import laws
 from specnorm.cli import (
     EXIT_BAD_INPUT,
     EXIT_INCOMPLETE,
@@ -171,6 +172,41 @@ class TestVerifyCmd:
         assert code == EXIT_OK
         assert "PASS" in capsys.readouterr().out
 
+    def test_plain_tiny_norm_runs_n4(self, capsys):
+        assert main(["verify", "tiny-norm"]) == EXIT_OK
+        assert "trials=65535 failures=0" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("law,args", [
+        ("tiny-norm", (4, 100, 0)), ("pd", (8, 100, 0)),
+        ("approx-hom", (8, 100, 0)), ("roundtrip", (8, 100, 0))])
+    def test_defaults(self, monkeypatch, law, args):
+        seen = []
+        monkeypatch.setitem(
+            laws.CHECKS, law, lambda *a: seen.append(a) or laws.LawReport(law_id=law))
+        assert main(["verify", law]) == EXIT_OK
+        assert seen == [args]
+
+    def test_json(self, capsys):
+        assert main(["verify", "tiny-norm", "--n", "3", "--json"]) == EXIT_OK
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["law_id"] == "tiny-norm"
+        assert doc["trials"] == 255 and doc["failures"] == 0
+        assert doc["notes"]["min_noncoset_anorm"] == 1.5
+
+    def test_json_failure_keeps_exit_code_and_file(self, monkeypatch, tmp_path, capsys):
+        def failing(n, trials, seed):
+            rep = laws.LawReport(law_id="fake")
+            rep.record(-1.0, {"trial": 0})
+            return rep
+
+        monkeypatch.setitem(laws.CHECKS, "approx-hom", failing)
+        monkeypatch.chdir(tmp_path)
+        assert main(["verify", "approx-hom", "--json"]) == EXIT_LAW_FAILURE
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["failures"] == 1 and doc["counterexample"] == {"trial": 0}
+        written = json.loads((tmp_path / "fake-counterexample.json").read_text())
+        assert written == {"trial": 0}
+
 
 class TestGenCmd:
     def test_coset_ring(self, tmp_path):
@@ -253,6 +289,11 @@ class TestBenchCmd:
         ["gen", "coset-ring", "--n", "6", "--out", "MISSING"],
         ["anorm", "--input", "BINARY"],
         ["anorm", "--input", "DIR"],
+        ["verify", "pd", "--n", "4"],
+        ["verify", "pd", "--trials", "5"],
+        ["verify", "pd", "--seed", "1"],
+        ["verify", "tiny-norm", "--trials", "5"],
+        ["verify", "tiny-norm", "--seed", "1"],
     ],
     ids=["psi-subgroup-int", "psi-subgroup-int-word", "gen-flats-0",
          "verify-tiny-norm-n6", "verify-roundtrip-n30",
@@ -260,7 +301,9 @@ class TestBenchCmd:
          "verify-pd-n30", "verify-tiny-norm-n0", "verify-approx-hom-trials-0",
          "verify-roundtrip-trials-0", "wht-out-missing-dir",
          "psi-out-missing-dir", "decompose-out-missing-dir",
-         "gen-out-missing-dir", "anorm-input-not-utf8", "anorm-input-dir"],
+         "gen-out-missing-dir", "anorm-input-not-utf8", "anorm-input-dir",
+         "verify-pd-n", "verify-pd-trials", "verify-pd-seed",
+         "verify-tiny-norm-trials", "verify-tiny-norm-seed"],
 )
 def test_bad_flags_exit_2(argv, coset_table, tmp_path, capsys):
     binary = tmp_path / "binary.txt"
