@@ -19,7 +19,6 @@ from .spectral import (
     SupportCertificate,
     a_norm,
     approx_hom_defect,
-    coset_spectral_mass,
     find_spectral_support,
     is_spectrally_supported,
     pd_apply,

@@ -152,38 +152,11 @@ def is_arithmetically_connected(A: PointSet, m: int):
         raise SearchBudgetExceeded(
             f"C({len(pts)}, {m}) tuples exceed the {TUPLE_BUDGET} budget"
         )
+    points = np.array(pts, dtype=np.int64)
     for tup in combinations(pts, m):
-        pivots: dict[int, int] = {}
-        dependent = False
-        for a in tup:
-            w = a
-            while w:
-                p = w.bit_length() - 1
-                if p in pivots:
-                    w ^= pivots[p]
-                else:
-                    pivots[p] = w
-                    break
-            else:
-                dependent = True
-                break
-        if dependent:
-            continue
-        chosen = set(tup)
-        extra = False
-        for a in pts:
-            if a in chosen:
-                continue
-            w = a
-            while w:
-                p = w.bit_length() - 1
-                if p not in pivots:
-                    break
-                w ^= pivots[p]
-            if w == 0:
-                extra = True
-                break
-        if not extra:
+        # the tuple's own m points always reduce to 0 in its span
+        span = rref_span(A.ambient, tup)
+        if span.dim == m and np.count_nonzero(span.reduce(points) == 0) == m:
             return False, tup
     return True, None
 

@@ -11,8 +11,8 @@ f_int-hat.  Each step adds one dimension to the dual, so it takes at
 most n steps, and it lands on H', the largest subgroup that f_int is
 periodic under.  f_int is constant on H'-cosets, so it collapses to
 signed coset terms and then to subgroup indicators via
-1_{x+H} = 1_<H,x> - 1_H.  A point-mass fallback keeps the procedure
-total, and a final evaluation checks the result is exact.
+1_{x+H} = 1_<H,x> - 1_H.  A final evaluation checks the result is
+exact.
 """
 
 from __future__ import annotations
@@ -80,7 +80,7 @@ class DecomposeReport:
     L: int = 0
     depth: int = 0
     splits: list = field(default_factory=list)
-    fallback_used: bool = False
+    fallback_used: bool = False  # the step is total; kept as a report key
     exact: bool = False
 
     def to_json(self) -> dict:
@@ -96,14 +96,10 @@ class DecomposeReport:
 @dataclass(frozen=True)
 class SplitOutcome:
     """One descent on rint(f) and the split f_int = f1 + f2 it induces,
-    with f1 = psi_{H'} f_int.
-
-    terms is None when f2 does not round to zero, that is when eta was
-    too coarse for the descent to reach the exact support.
-    """
+    with f1 = psi_{H'} f_int and f2 = 0."""
 
     certificate: SupportCertificate
-    terms: tuple[SignedCosetTerm, ...] | None
+    terms: tuple[SignedCosetTerm, ...]
     a_norm_before: float
     a_norm_parts: tuple[float, float]
 
@@ -112,13 +108,7 @@ def _extract_coset_terms(f_int: RealFn, H: Subgroup) -> tuple[SignedCosetTerm, .
     """One term per H-coset with a nonzero value, in increasing order of
     the coset's smallest element."""
     vals = np.rint(f_int.values).astype(np.int64)
-    # clearing every pivot bit of the RREF basis maps x to the smallest
-    # element of x + H
-    reps = np.arange(f_int.ambient.size, dtype=np.int64)
-    for b in H.basis:
-        pivot = b.bit_length() - 1
-        reps = np.where((reps >> pivot) & 1, reps ^ b, reps)
-    reps = np.unique(reps)
+    reps = np.unique(H.reduce(np.arange(f_int.ambient.size, dtype=np.int64)))
     return tuple(
         SignedCosetTerm(coeff=int(vals[r]), rep=int(r), H=H)
         for r in reps[vals[reps] != 0]
@@ -147,7 +137,8 @@ def evaluate(expr: CosetRingExpr) -> RealFn:
 
 
 def trivial_expr(f_int: RealFn) -> CosetRingExpr:
-    """Point-mass fallback: every nonzero value as cosets of {0}."""
+    """Point-mass expression: every nonzero value as cosets of {0}, the
+    baseline that decompose's L is measured against."""
     vals = np.rint(f_int.values).astype(np.int64)
     triv = trivial(f_int.ambient)
     terms: list[SubgroupTerm] = []
@@ -158,24 +149,21 @@ def trivial_expr(f_int: RealFn) -> CosetRingExpr:
     return CosetRingExpr(f_int.ambient, tuple(terms))
 
 
-def inductive_step(f: AlmostIntFn, eta: float) -> SplitOutcome:
-    """Descend from the full group on rint(f) and extract its coset terms.
-
-    With eta <= exact_support_eta the descent takes at most n steps, ends
-    with no off-dual mass, and terms is never None.
+def inductive_step(f: AlmostIntFn) -> SplitOutcome:
+    """Descend from the full group on rint(f) at exact_support_eta and
+    extract its coset terms.  The descent takes at most n steps and ends
+    with no off-dual mass, so f_int is constant on the cosets it lands on.
     """
-    if eta <= 0:
-        raise ValueError("eta must be positive")
     f_int = f.f_int
-    cert = find_spectral_support(f_int, full(f_int.ambient), eta)
+    cert = find_spectral_support(
+        f_int, full(f_int.ambient), exact_support_eta(f_int.ambient)
+    )
     f1 = psi(f_int, cert.subgroup)
-    f2 = f_int - f1
-    periodic = bool(np.max(np.abs(f2.values)) < 0.5)
     return SplitOutcome(
         certificate=cert,
-        terms=_extract_coset_terms(f_int, cert.subgroup) if periodic else None,
+        terms=_extract_coset_terms(f_int, cert.subgroup),
         a_norm_before=a_norm(f_int),
-        a_norm_parts=(a_norm(f1), a_norm(f2)),
+        a_norm_parts=(a_norm(f1), a_norm(f_int - f1)),
     )
 
 
@@ -188,7 +176,7 @@ def decompose(
             f"deviation {base.eps} exceeds the eps0 budget {params.eps0}"
         )
     report = DecomposeReport()
-    outcome = inductive_step(base, exact_support_eta(f.ambient))
+    outcome = inductive_step(base)
     report.splits.append(
         {
             "a_norm_before": outcome.a_norm_before,
@@ -198,14 +186,10 @@ def decompose(
             "eps_level": max(base.eps, params.eps0),
         }
     )
-    if outcome.terms is None:
-        expr = trivial_expr(base.f_int)
-        report.fallback_used = True
-    else:
-        expr = CosetRingExpr(
-            f.ambient,
-            tuple(t for ct in outcome.terms for t in coset_to_subgroups(ct)),
-        )
+    expr = CosetRingExpr(
+        f.ambient,
+        tuple(t for ct in outcome.terms for t in coset_to_subgroups(ct)),
+    )
     report.L = expr.L
     got = np.rint(evaluate(expr).values).astype(np.int64)
     want = np.rint(base.f_int.values).astype(np.int64)

@@ -39,10 +39,6 @@ class Ambient:
         return x
 
 
-def parity(w: int) -> int:
-    return bin(w).count("1") & 1
-
-
 def _rref_words(generators) -> list[int]:
     # pivot = highest set bit; forward elimination then back-substitution
     pivots: dict[int, int] = {}
@@ -81,13 +77,18 @@ class Subgroup:
     def density(self) -> float:
         return self.size / self.ambient.size
 
-    def contains(self, x: int) -> bool:
-        self.ambient.check_point(x)
-        w = x
+    def reduce(self, x):
+        """Smallest element of x + H, for an int or an int64 array.
+
+        Clearing each RREF pivot bit leaves the other pivot bits alone, and
+        x + H has one element with every pivot bit clear: its minimum.
+        """
         for b in self.basis:
-            if w.bit_length() == b.bit_length():
-                w ^= b
-        return w == 0
+            x = x ^ (((x >> (b.bit_length() - 1)) & 1) * b)
+        return x
+
+    def contains(self, x: int) -> bool:
+        return self.reduce(self.ambient.check_point(x)) == 0
 
     def elements(self) -> list[int]:
         """All 2^dim elements in Gray-code order over basis combinations."""

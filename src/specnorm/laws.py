@@ -1,8 +1,9 @@
 """Executable checks for the quantitative statements the library is
 built around: exhaustive where feasible, seeded random trials elsewhere.
 
-Each check returns a LawReport; failures == 0 means pass and any
-counterexample replays deterministically from (law_id, n, trials, seed).
+Each check returns a LawReport.  It passes when it ran at least one trial
+and none failed, and any counterexample replays deterministically from
+(law_id, n, trials, seed).
 Margins are (bound - achieved), so nonnegative is healthy.
 """
 
@@ -59,7 +60,8 @@ class LawReport:
 
     @property
     def passed(self) -> bool:
-        return self.failures == 0
+        # a check that ran nothing has shown nothing
+        return self.failures == 0 and self.trials > 0
 
     def record(self, margin: float, witness: dict) -> None:
         self.trials += 1
@@ -224,7 +226,7 @@ def check_pd(d_max: int = 4, points: int = 10**4) -> LawReport:
     """Grid check of the integer-detecting polynomial bounds: at each grid
     point t the lower bound |p_d(t)| >= ||t||, then, where |t| <= d, the
     upper bound |p_d(t)| <= 4^d ||t||."""
-    if d_max > MAX_PD_DEGREE:
+    if not 0 <= d_max <= MAX_PD_DEGREE:
         raise ValueError(f"d must be in [0, {MAX_PD_DEGREE}]")
     rep = LawReport(law_id="pd")
     for d in range(d_max + 1):

@@ -95,13 +95,6 @@ def _worst_off_coset(sums: np.ndarray, dual: Subgroup) -> tuple[float, int]:
     return worst, rep
 
 
-def coset_spectral_mass(f: RealFn, H: Subgroup, r: int) -> float:
-    """Sum of |fhat| over the coset r + H^perp."""
-    absf = np.abs(wht(f).coeffs)
-    Hp = H.annihilator()
-    return float(np.sum(absf[Hp.element_array() ^ int(r)]))
-
-
 def spectral_support_level(f: RealFn, H: Subgroup) -> tuple[float, int]:
     """Worst off-H^perp coset mass of fhat and the coset's smallest rep.
 

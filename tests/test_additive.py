@@ -1,7 +1,10 @@
 import math
+from itertools import combinations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from specnorm.additive import (
     ConcentrationParams,
@@ -187,7 +190,61 @@ class TestBogolyubov:
             assert np.all(Sde.members | ~shifted.members)
 
 
+def reference_connectedness(A, m):
+    """is_arithmetically_connected as an inline elimination over each tuple
+    (pivot = highest set bit), without the gf2 primitives."""
+    pts = A.points()
+    if len(pts) < m:
+        return True, None
+    for tup in combinations(pts, m):
+        pivots = {}
+        dependent = False
+        for a in tup:
+            w = a
+            while w:
+                p = w.bit_length() - 1
+                if p in pivots:
+                    w ^= pivots[p]
+                else:
+                    pivots[p] = w
+                    break
+            else:
+                dependent = True
+                break
+        if dependent:
+            continue
+        extra = False
+        for a in pts:
+            if a in tup:
+                continue
+            w = a
+            while w:
+                p = w.bit_length() - 1
+                if p not in pivots:
+                    break
+                w ^= pivots[p]
+            if w == 0:
+                extra = True
+                break
+        if not extra:
+            return False, tup
+    return True, None
+
+
+@st.composite
+def zero_free_sets(draw):
+    n = draw(st.integers(1, 6))
+    a = Ambient(n)
+    pts = draw(st.sets(st.integers(1, a.size - 1), max_size=20))
+    return PointSet.from_points(a, pts)
+
+
 class TestArithmeticConnectedness:
+    @given(zero_free_sets(), st.integers(1, 3))
+    @settings(max_examples=150, deadline=None)
+    def test_matches_reference(self, A, m):
+        assert is_arithmetically_connected(A, m) == reference_connectedness(A, m)
+
     def test_zero_rejected(self):
         a = Ambient(3)
         with pytest.raises(ZeroInSet):

@@ -181,8 +181,14 @@ class TestVerifyCmd:
         ("approx-hom", (8, 100, 0)), ("roundtrip", (8, 100, 0))])
     def test_defaults(self, monkeypatch, law, args):
         seen = []
-        monkeypatch.setitem(
-            laws.CHECKS, law, lambda *a: seen.append(a) or laws.LawReport(law_id=law))
+
+        def passing(*a):
+            seen.append(a)
+            rep = laws.LawReport(law_id=law)
+            rep.record(0.0, None)  # a report with no trial does not pass
+            return rep
+
+        monkeypatch.setitem(laws.CHECKS, law, passing)
         assert main(["verify", law]) == EXIT_OK
         assert seen == [args]
 

@@ -1,5 +1,3 @@
-import importlib
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -18,15 +16,13 @@ from specnorm.decompose import (
     inductive_step,
     trivial_expr,
 )
-from specnorm.fourier import RealFn, indicator
+from specnorm.fourier import RealFn
 from specnorm.generate import flat_indicator, gen_coset_ring, random_flat, rng_for
 from specnorm.gf2 import Ambient, rref_span, trivial
 from specnorm.spectral import NotAlmostInteger, a_norm, round_to_int
 
 
 EPS0 = DecomposeParams().eps0
-# the package re-exports the function decompose under the module's name
-decompose_module = importlib.import_module("specnorm.decompose")
 
 
 def expr_values(expr):
@@ -101,41 +97,28 @@ class TestInductiveStep:
     def test_zero_function(self):
         a = Ambient(4)
         f = round_to_int(RealFn(a, np.zeros(a.size)))
-        out = inductive_step(f, 0.01)
+        out = inductive_step(f)
         assert out.terms == () and out.certificate.steps_used == 0
 
     def test_subgroup_indicator_one_round(self):
         a = Ambient(6)
         H = rref_span(a, [0b000011, 0b001100])
         f = round_to_int(flat_indicator(H, 0))
-        out = inductive_step(f, 0.01)
+        out = inductive_step(f)
         assert out.certificate.subgroup == H
         assert out.terms == (SignedCosetTerm(1, 0, H),)
         assert out.a_norm_before == pytest.approx(1.0)
         # norm additivity of the split
         assert sum(out.a_norm_parts) == pytest.approx(out.a_norm_before, abs=1e-9)
 
-    def test_bad_eta(self):
-        a = Ambient(3)
-        f = round_to_int(indicator(a, [0, 1]))
-        with pytest.raises(ValueError):
-            inductive_step(f, 0.0)
-
-    def test_coarse_eta_leaves_terms_unset(self):
-        # eta above the largest coset mass stops the descent at once
-        a = Ambient(4)
-        f = round_to_int(indicator(a, [0, 1, 2]))
-        out = inductive_step(f, 10.0)
-        assert out.terms is None and out.certificate.steps_used == 0
-
     @given(signed_flat_sums())
     @settings(max_examples=60, deadline=None)
     def test_integer_table_reaches_exact_support(self, f):
         n = f.ambient.n
-        out = inductive_step(round_to_int(f), exact_support_eta(f.ambient))
+        out = inductive_step(round_to_int(f))
         assert out.certificate.steps_used <= n
         assert out.certificate.worst_mass == 0.0
-        assert out.terms is not None
+        assert out.certificate.eta == exact_support_eta(f.ambient)
         assert out.a_norm_parts[1] == 0.0
 
 
@@ -197,17 +180,6 @@ class TestDecompose:
                 assert s["a_norm_f1"] + s["a_norm_f2"] == pytest.approx(
                     s["a_norm_before"], abs=1e-9
                 )
-
-    def test_fallback_only(self, monkeypatch):
-        # at exact_support_eta the step always reaches the exact support;
-        # a coarse eta is what leaves its terms unset and takes the
-        # point-mass safety net
-        monkeypatch.setattr(decompose_module, "exact_support_eta", lambda ambient: 10.0)
-        a = Ambient(4)
-        f = indicator(a, [1, 2, 4])
-        expr, rep = decompose(f)
-        assert rep.exact and rep.fallback_used
-        assert np.array_equal(expr_values(expr), np.rint(f.values).astype(np.int64))
 
     def test_perturbed_input(self):
         a = Ambient(4)

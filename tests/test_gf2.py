@@ -84,6 +84,34 @@ class TestContains:
         assert not H.contains(0b001)
 
 
+class TestReduce:
+    @given(
+        st.integers(1, 8)
+        .flatmap(lambda n: st.tuples(subgroups(n), st.integers(0, (1 << n) - 1)))
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_smallest_element_of_coset(self, case):
+        H, x = case
+        got = H.reduce(x)
+        assert isinstance(got, int)
+        assert got == int(np.min(H.element_array() ^ x))
+        assert H.contains(x) == (got == 0)
+
+    @given(st.integers(1, 8).flatmap(lambda n: subgroups(n)))
+    @settings(max_examples=50, deadline=None)
+    def test_array_form_is_scalar_form(self, H):
+        xs = np.arange(H.ambient.size, dtype=np.int64)
+        got = H.reduce(xs)
+        assert got.dtype == np.int64
+        assert got.tolist() == [H.reduce(int(x)) for x in xs]
+
+    def test_by_hand(self):
+        H = rref_span(Ambient(4), [0b1010, 0b0110])
+        # 0b0001 + H = {0b0001, 0b0111, 0b1011, 0b1101}
+        assert [H.reduce(x) for x in (0b0001, 0b0111, 0b1011, 0b1101)] == [1] * 4
+        assert H.reduce(0b1100) == 0
+
+
 class TestAnnihilator:
     def test_full_and_trivial(self):
         a = Ambient(3)

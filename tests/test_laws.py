@@ -40,6 +40,27 @@ class TestLawReport:
         assert rep.counterexample == {"bad": True}
         assert rep.worst_margin == -0.1
 
+    def test_no_trials_does_not_pass(self):
+        rep = LawReport(law_id="x")
+        assert rep.failures == 0 and not rep.passed
+        rep.record_many([], lambda i: None)
+        assert not rep.passed
+
+    @pytest.mark.parametrize("call", [
+        lambda: check_pd(4, 0),
+        lambda: check_approx_hom(6, 0, 0),
+    ], ids=["pd-no-points", "approx-hom-no-trials"])
+    def test_check_that_ran_nothing_fails(self, call):
+        rep = call()
+        assert rep.trials == 0 and rep.failures == 0 and not rep.passed
+
+    @pytest.mark.parametrize("d_max", [-3, -1, 13])
+    def test_pd_degree_out_of_range(self, d_max):
+        with pytest.raises(ValueError, match=r"d must be in \[0, 12\]"):
+            check_pd(d_max)
+        with pytest.raises(ValueError, match=r"d must be in \[0, 12\]"):
+            pd_eval(0.0, d_max)
+
     def test_json(self):
         rep = LawReport(law_id="x")
         rep.record(1.0, None)

@@ -14,7 +14,6 @@ from specnorm.spectral import (
     _coset_sums,
     a_norm,
     approx_hom_defect,
-    coset_spectral_mass,
     find_spectral_support,
     is_spectrally_supported,
     pd_apply,
@@ -167,27 +166,6 @@ class TestCosetSums:
         sums = _coset_sums(rng.uniform(-1, 1, a.size), S)
         for x in range(a.size):
             assert np.all(sums[S.element_array() ^ x] == sums[x])
-
-
-class TestCosetSpectralMass:
-    def test_trivial_h_is_total_mass(self):
-        f = THREE_CORNER
-        H = trivial(f.ambient)
-        assert coset_spectral_mass(f, H, 0b10) == pytest.approx(a_norm(f))
-
-    def test_subgroup_indicator_off_mass_zero(self):
-        a = Ambient(3)
-        H = rref_span(a, [0b011])
-        f = flat_indicator(H, 0)
-        # spectrum lives on H^perp; any coset not meeting it carries 0
-        Hp = H.annihilator()
-        off = next(r for r in range(a.size) if not Hp.contains(r))
-        assert coset_spectral_mass(f, H, off) == pytest.approx(0.0, abs=1e-12)
-
-    def test_three_corner_by_table(self):
-        H = rref_span(Ambient(2), [0b01])
-        # H^perp = span{10}; coset 01 + {00,10} = {01, 11}
-        assert coset_spectral_mass(THREE_CORNER, H, 0b01) == pytest.approx(0.5)
 
 
 class TestSpectralSupport:
