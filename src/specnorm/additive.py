@@ -117,13 +117,18 @@ def s_eta(A: PointSet, eta: float) -> PointSet:
     return PointSet(A.ambient, nu4(A).values >= thresh - _LEVEL_GUARD * alpha**3)
 
 
+# relative guard on the large-spectrum threshold: a coefficient equal to
+# rho * alpha stays in the set when transform rounding puts it a few ulps below
+SPEC_SET_SLACK = 1e-12
+
+
 def spec_set(A: PointSet, rho: float) -> PointSet:
     """Large spectrum {r : |1A-hat(r)| >= rho * alpha}."""
     if not 0 < rho <= 1:
         raise ValueError("rho must be in (0, 1]")
     alpha = A.density
     c = np.abs(wht(A.indicator()).coeffs)
-    return PointSet(A.ambient, c >= rho * alpha - 1e-12 * alpha)
+    return PointSet(A.ambient, c >= rho * alpha - SPEC_SET_SLACK * alpha)
 
 
 def bogolyubov_subgroup(A: PointSet, rho: float) -> Subgroup:

@@ -31,6 +31,8 @@ from .additive import (
 )
 from .decompose import decompose, trivial_expr
 from .fourier import RealFn, convolve, lp_norm
+# a module name of its own, so that tests can swap in a faulty matrix
+from .fourier import sylvester as _hadamard
 from .generate import (
     gen_coset_ring,
     random_structured_set_mask,
@@ -115,12 +117,6 @@ def _timed(fn):
         return rep
 
     return wrapper
-
-
-def _hadamard(N: int) -> np.ndarray:
-    idx = np.arange(N)
-    pop = np.array([bin(r & x).count("1") & 1 for r in idx for x in idx])
-    return 1.0 - 2.0 * pop.reshape(N, N)
 
 
 def _random_set(ambient: Ambient, rng) -> PointSet:

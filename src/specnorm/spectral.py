@@ -82,16 +82,21 @@ def _coset_sums(table: np.ndarray, S: Subgroup) -> np.ndarray:
     return out
 
 
+# Coset sums within TIE_SLACK of the largest count as tied with it, so the
+# smallest word wins even when transform rounding splits a tie by a few ulps.
+TIE_SLACK = 1e-12
+
+
 def _worst_off_coset(sums: np.ndarray, dual: Subgroup) -> tuple[float, int]:
     """Largest coset sum off the proper subgroup dual, and the smallest
-    word attaining it to within 1e-12.
+    word attaining it to within TIE_SLACK.
 
     sums is constant on cosets of dual, so that word is also the
     smallest member of its coset.
     """
     off = ~dual.mask()
     worst = float(np.max(sums[off]))
-    rep = int(np.flatnonzero(off & (sums >= worst - 1e-12))[0])
+    rep = int(np.flatnonzero(off & (sums >= worst - TIE_SLACK))[0])
     return worst, rep
 
 

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from specnorm.additive import (
+    SPEC_SET_SLACK,
     ConcentrationParams,
     PointSet,
     SearchBudgetExceeded,
@@ -151,6 +152,14 @@ class TestSpecSet:
         A = PointSet.from_points(a, [0b00, 0b01, 0b10])
         assert spec_set(A, 0.5).points() == [0]
         assert spec_set(A, 0.2).card == 4
+
+    @pytest.mark.parametrize("over, card", [(0.5, 4), (2.0, 1)])
+    def test_slack_edge(self, over, card):
+        # |1A-hat| = (3/4, 1/4, 1/4, 1/4) and alpha = 3/4: a threshold
+        # rho * alpha above 1/4 by less than SPEC_SET_SLACK * alpha keeps the
+        # three small coefficients, and by more than it drops them
+        A = PointSet.from_points(Ambient(2), [0b00, 0b01, 0b10])
+        assert spec_set(A, 1 / 3 + over * SPEC_SET_SLACK).card == card
 
     def test_contains_zero(self):
         a = Ambient(5)

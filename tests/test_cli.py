@@ -251,7 +251,8 @@ class TestBenchCmd:
         code = main(["bench", "wht", "--n", "10", "--reps", "3", "--json"])
         assert code == EXIT_OK
         doc = json.loads(capsys.readouterr().out)
-        assert "python" in doc["results"]
+        assert doc["active_backend"] == "numpy-radix16"
+        assert list(doc["results"]) == ["numpy-radix16"]
         for stats in doc["results"].values():
             assert stats["median_s"] > 0
 

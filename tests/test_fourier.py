@@ -2,7 +2,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from specnorm import fourier
 from specnorm.fourier import (
     RealFn,
     Spectrum,
@@ -32,7 +35,63 @@ def naive_wht(f):
     return out
 
 
+def reference_butterfly(values):
+    """Unnormalized radix-2 butterfly on a copy: n stages, each output a
+    single add or subtract of two stage inputs."""
+    a = np.array(values, dtype=np.float64)
+    h = 1
+    while h < a.size:
+        b = a.reshape(-1, 2 * h)
+        lo = b[:, :h].copy()
+        hi = b[:, h:].copy()
+        b[:, :h] = lo + hi
+        b[:, h:] = lo - hi
+        h *= 2
+    return a
+
+
 THREE_CORNER = [1.0, 1.0, 1.0, 0.0]
+
+# n = 1..14 covers every n mod 4, so every length of the short last stage
+SIZES = st.integers(1, 14)
+SEEDS = st.integers(0, 2**32 - 1)
+
+
+class TestKernel:
+    @pytest.mark.parametrize("k", range(fourier.RADIX_BITS + 1))
+    def test_matrices_are_sylvester(self, k):
+        N = 1 << k
+        want = [[1 - 2 * (bin(r & x).count("1") & 1) for x in range(N)] for r in range(N)]
+        assert np.array_equal(fourier._SYLVESTER[k], np.array(want, dtype=np.float64))
+
+    @settings(max_examples=60, deadline=None)
+    @given(SIZES, SEEDS)
+    def test_integer_tables_bit_equal_to_reference(self, n, seed):
+        a = Ambient(n)
+        x = np.random.default_rng(seed).integers(-(2**20), 2**20, a.size, endpoint=True)
+        x = x.astype(np.float64)
+        want = reference_butterfly(x)
+        assert np.array_equal(fourier._wht(x), want)
+        assert np.array_equal(iwht(Spectrum(a, x)).values, want)
+        assert np.array_equal(wht(RealFn(a, x)).coeffs, want / a.size)
+
+    @settings(max_examples=60, deadline=None)
+    @given(SIZES, SEEDS, st.sampled_from([1e-3, 1.0, 1e6]))
+    def test_reals_within_rounding_of_reference(self, n, seed, scale):
+        a = Ambient(n)
+        x = np.random.default_rng(seed).uniform(-scale, scale, a.size)
+        err = np.max(np.abs(wht(RealFn(a, x)).coeffs - reference_butterfly(x) / a.size))
+        assert err <= 1e-15 * (1 + np.max(np.abs(x)))
+
+    @settings(max_examples=30, deadline=None)
+    @given(SIZES, SEEDS)
+    def test_input_unchanged(self, n, seed):
+        a = Ambient(n)
+        x = np.random.default_rng(seed).uniform(-1, 1, a.size)
+        keep = x.copy()
+        out = [wht(RealFn(a, x)).coeffs, iwht(Spectrum(a, x)).values]
+        assert np.array_equal(x, keep)
+        assert not any(np.shares_memory(o, x) for o in out)
 
 
 class TestWht:

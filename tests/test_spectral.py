@@ -10,8 +10,10 @@ from specnorm.fourier import RealFn, Spectrum, constant, iwht, wht
 from specnorm.generate import flat_indicator, gen_coset_ring, random_subgroup, rng_for
 from specnorm.gf2 import Ambient, full, rref_span, trivial
 from specnorm.spectral import (
+    TIE_SLACK,
     NotAlmostInteger,
     _coset_sums,
+    _worst_off_coset,
     a_norm,
     approx_hom_defect,
     find_spectral_support,
@@ -187,6 +189,17 @@ class TestSpectralSupport:
         assert not ok
         assert worst == pytest.approx(0.5)
         assert rep == 0b01  # smallest word of the coset {01, 11}
+
+
+class TestWorstOffCoset:
+    @pytest.mark.parametrize("below, rep", [(0.0, 3), (0.5, 3), (1.0, 3), (2.0, 5)])
+    def test_tie_slack_edge(self, below, rep):
+        # off the trivial dual every word is its own coset; word 3 counts as
+        # tied with the larger word 5 while within TIE_SLACK of its sum
+        sums = np.zeros(8)
+        sums[5] = 1.0
+        sums[3] = 1.0 - below * TIE_SLACK
+        assert _worst_off_coset(sums, trivial(Ambient(3))) == (1.0, rep)
 
 
 class TestFindSpectralSupport:
