@@ -1,6 +1,7 @@
 """Sumsets, the fourfold autoconvolution nu4 and its level sets,
 large-spectrum sets, Bogolyubov subgroups, arithmetic connectedness,
-and the concentration-subgroup search.
+and the concentration-subgroup search (a heuristic candidate ladder
+with no exhaustive mode; decompose does not use it).
 """
 
 from __future__ import annotations
@@ -171,51 +172,10 @@ class ConcentrationParams:
     rhos: tuple[float, ...] = (0.5, 0.25, 0.125)
     beam_top: int = 16
     beam_max_size: int = 4
-    max_codim: int = 3
-    exhaustive: bool = False
 
 
 def _psi_sup(f: RealFn, H: Subgroup) -> float:
     return float(np.max(np.abs(spectral.psi(f, H).values)))
-
-
-def _subspaces_upto(ambient: Ambient, max_dim: int):
-    """All canonical RREF bases of subspaces with dim <= max_dim."""
-    n = ambient.n
-    yield ()
-
-    def grow(basis: tuple[int, ...], min_pivot_excl: int):
-        # next pivot strictly below every existing pivot
-        for p in range(min_pivot_excl - 1, -1, -1):
-            free = [
-                j
-                for j in range(p)
-                if all(b.bit_length() - 1 != j for b in basis)
-            ]
-            for fill in range(1 << len(free)):
-                w = 1 << p
-                for i, j in enumerate(free):
-                    if (fill >> i) & 1:
-                        w |= 1 << j
-                # clear the new pivot bit from existing rows? impossible:
-                # existing pivots are above p and rows have no bit at p
-                # only if p was free for them; enforce by masking
-                new_rows = []
-                ok = True
-                for b in basis:
-                    if (b >> p) & 1:
-                        ok = False
-                        break
-                    new_rows.append(b)
-                if not ok:
-                    continue
-                nb = tuple(sorted(new_rows + [w], reverse=True))
-                yield nb
-                if len(nb) < max_dim:
-                    yield from grow(nb, p)
-
-    if max_dim >= 1:
-        yield from grow((), n)
 
 
 def density_floor(f: AlmostIntFn) -> float:
@@ -232,9 +192,9 @@ def find_concentration_subgroup(
     """Search for a subgroup H maximizing ||psi_H f||_inf.
 
     Candidate ladder: Bogolyubov subgroups of the support, a beam over
-    annihilators of small spans of the largest frequencies, optional
-    exhaustive search at small codimension, and the trivial subgroup as
-    an unconditional fallback.
+    annihilators of small spans of the largest frequencies, and the
+    trivial subgroup as an unconditional fallback.  There is no
+    exhaustive mode.
     """
     if not np.any(f.f_int.values):
         raise ValueError("f_int is identically zero")
@@ -254,10 +214,6 @@ def find_concentration_subgroup(
             break
         for R in combinations(top, size):
             candidates.append(rref_span(ambient, R).annihilator())
-
-    if params.exhaustive and ambient.n <= 10:
-        for dual_basis in _subspaces_upto(ambient, params.max_codim):
-            candidates.append(Subgroup(ambient, dual_basis).annihilator())
 
     # ties at equal score prefer the larger subgroup (coarser cosets
     # mean shorter representations), then the smaller canonical basis

@@ -36,8 +36,8 @@ def cmd_wht(args) -> int:
     parseval = abs(
         float(np.mean(f.values**2)) - float(np.sum(s.coeffs**2))
     )
-    print(f"a_norm={float(np.sum(np.abs(s.coeffs)))!r}")
-    print(f"linf={float(np.max(np.abs(f.values)))!r}")
+    print(f"a_norm={fourier.spec_lp_norm(s, 1)!r}")
+    print(f"linf={fourier.lp_norm(f, math.inf)!r}")
     print(f"parseval_residual={parseval!r}")
     if args.out:
         with open(args.out, "w") as fh:
@@ -153,12 +153,8 @@ def cmd_bench(args) -> int:
     results = {}
     if args.what in ("wht", "anorm"):
         f = RealFn(ambient, rng.uniform(-1, 1, ambient.size))
-
-        def run():
-            s = wht(f)
-            if args.what == "anorm":
-                np.sum(np.abs(s.coeffs))
-        stats = _bench_one(run, args.reps)
+        op = a_norm if args.what == "anorm" else wht
+        stats = _bench_one(lambda: op(f), args.reps)
         stats["points_per_s"] = ambient.size / stats["median_s"]
         results[fourier.BACKEND] = stats
     else:

@@ -21,15 +21,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .fourier import RealFn
+from .fourier import RealFn, wht
 from .gf2 import Ambient, Subgroup, full, rref_span, trivial
 from .spectral import (
     AlmostIntFn,
     NotAlmostInteger,
     SupportCertificate,
-    a_norm,
     find_spectral_support,
-    psi,
     round_to_int,
 )
 
@@ -136,34 +134,41 @@ def evaluate(expr: CosetRingExpr) -> RealFn:
     return RealFn(expr.ambient, out)
 
 
+def _expand(ambient: Ambient, terms) -> CosetRingExpr:
+    """The subgroup expression of signed coset terms, in their order."""
+    return CosetRingExpr(
+        ambient, tuple(t for ct in terms for t in coset_to_subgroups(ct))
+    )
+
+
 def trivial_expr(f_int: RealFn) -> CosetRingExpr:
     """Point-mass expression: every nonzero value as cosets of {0}, the
     baseline that decompose's L is measured against."""
-    vals = np.rint(f_int.values).astype(np.int64)
-    triv = trivial(f_int.ambient)
-    terms: list[SubgroupTerm] = []
-    for x in np.nonzero(vals)[0]:
-        terms.extend(
-            coset_to_subgroups(SignedCosetTerm(int(vals[x]), int(x), triv))
-        )
-    return CosetRingExpr(f_int.ambient, tuple(terms))
+    return _expand(f_int.ambient, _extract_coset_terms(f_int, trivial(f_int.ambient)))
 
 
 def inductive_step(f: AlmostIntFn) -> SplitOutcome:
     """Descend from the full group on rint(f) at exact_support_eta and
     extract its coset terms.  The descent takes at most n steps and ends
     with no off-dual mass, so f_int is constant on the cosets it lands on.
+
+    The split norms all come from one |f_int-hat|: f1 = psi_{H'} f_int has
+    the part of the spectrum on H'^perp and f2 = f_int - f1 the part off it.
     """
     f_int = f.f_int
     cert = find_spectral_support(
         f_int, full(f_int.ambient), exact_support_eta(f_int.ambient)
     )
-    f1 = psi(f_int, cert.subgroup)
+    mass = np.abs(wht(f_int).coeffs)
+    on = cert.subgroup.annihilator().mask()
     return SplitOutcome(
         certificate=cert,
         terms=_extract_coset_terms(f_int, cert.subgroup),
-        a_norm_before=a_norm(f_int),
-        a_norm_parts=(a_norm(f1), a_norm(f_int - f1)),
+        a_norm_before=float(np.sum(mass)),
+        a_norm_parts=(
+            float(np.sum(np.where(on, mass, 0.0))),
+            float(np.sum(np.where(on, 0.0, mass))),
+        ),
     )
 
 
@@ -186,10 +191,7 @@ def decompose(
             "eps_level": max(base.eps, params.eps0),
         }
     )
-    expr = CosetRingExpr(
-        f.ambient,
-        tuple(t for ct in outcome.terms for t in coset_to_subgroups(ct)),
-    )
+    expr = _expand(f.ambient, outcome.terms)
     report.L = expr.L
     got = np.rint(evaluate(expr).values).astype(np.int64)
     want = np.rint(base.f_int.values).astype(np.int64)

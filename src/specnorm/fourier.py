@@ -60,7 +60,7 @@ def _as_table(ambient: Ambient, values) -> np.ndarray:
     arr = np.asarray(values, dtype=np.float64)
     if arr.shape != (ambient.size,):
         raise ValueError(f"expected {ambient.size} values, got shape {arr.shape}")
-    if not np.all(np.isfinite(arr)):
+    if not np.isfinite(arr).all():
         raise ValueError("non-finite entries")
     return arr
 
@@ -160,9 +160,13 @@ def inner(f: RealFn, g: RealFn) -> float:
     return float(np.mean(f.values * g.values))
 
 
-def spectrum_to_json(s: Spectrum, threshold: float = 1e-12) -> list[dict]:
-    """Nonzero coefficients, sorted by |coeff| descending then by r."""
-    idx = np.nonzero(np.abs(s.coeffs) > threshold)[0]
+SPECTRUM_JSON_FLOOR = 1e-12
+
+
+def spectrum_to_json(s: Spectrum) -> list[dict]:
+    """Coefficients above SPECTRUM_JSON_FLOOR in size, sorted by |coeff|
+    descending then by r."""
+    idx = np.nonzero(np.abs(s.coeffs) > SPECTRUM_JSON_FLOOR)[0]
     entries = sorted(
         ((int(r), float(s.coeffs[r])) for r in idx),
         key=lambda e: (-abs(e[1]), e[0]),

@@ -25,12 +25,10 @@ def random_subgroup(ambient: Ambient, rng, max_dim: int | None = None) -> Subgro
     return rref_span(ambient, gens)
 
 
-def random_flat(ambient: Ambient, rng, min_dim=0, max_dim=None) -> tuple[Subgroup, int]:
+def random_flat(ambient: Ambient, rng, min_dim=0) -> tuple[Subgroup, int]:
     """A random coset t + H; returns (H, t)."""
-    n = ambient.n
-    hi = n if max_dim is None else max_dim
     while True:
-        H = random_subgroup(ambient, rng, max_dim=hi)
+        H = random_subgroup(ambient, rng)
         if H.dim >= min_dim:
             break
     t = int(rng.integers(0, ambient.size))
@@ -85,15 +83,16 @@ def gen_coset_ring(
     return f, record
 
 
-def gen_random_boolean(ambient: Ambient, rng, density: float = 0.5) -> RealFn:
-    return RealFn(ambient, (rng.random(ambient.size) < density).astype(np.float64))
+def gen_random_boolean(ambient: Ambient, rng) -> RealFn:
+    """Each point in the support independently with probability 1/2."""
+    return RealFn(ambient, (rng.random(ambient.size) < 0.5).astype(np.float64))
 
 
 def random_structured_set_mask(ambient: Ambient, rng) -> np.ndarray:
     """Subgroup plus/minus a few noise points: the small-doubling regime."""
-    H = random_subgroup(ambient, rng, max_dim=ambient.n)
+    H = random_subgroup(ambient, rng)
     while H.dim < max(1, ambient.n - 4):
-        H = random_subgroup(ambient, rng, max_dim=ambient.n)
+        H = random_subgroup(ambient, rng)
     mask = H.mask().copy()
     noise = int(rng.integers(0, max(1, H.size // 8) + 1))
     if noise:

@@ -2,8 +2,9 @@
 
 Line 1: ``n=<int>``.  Line 2: either ``bits=<2^n chars of 0/1>`` for a
 boolean function or ``real=`` followed by 2^n whitespace-separated
-decimals (which may continue on later lines).  Index order is
-x = 0 .. 2^n - 1 with bit i of the index as coordinate i.
+decimals (which may continue on later lines).  Only blank lines may
+follow a bits= line.  Index order is x = 0 .. 2^n - 1 with bit i of the
+index as coordinate i.
 """
 
 from __future__ import annotations
@@ -55,6 +56,8 @@ def read_truth_table(path: str) -> RealFn:
         bits = text[start + 5:end].rstrip()
         if len(bits) != ambient.size or set(bits) - {"0", "1"}:
             raise MalformedInput(f"bits= needs exactly {ambient.size} chars of 0/1")
+        if _BLANK.match(text, end).end() != len(text):
+            raise MalformedInput("unexpected content after the bits= line")
         vals = np.frombuffer(bits.encode(), dtype=np.uint8) - ord("0")
         return RealFn(ambient, vals.astype(np.float64))
     if text.startswith("real=", start):

@@ -27,7 +27,6 @@ from .additive import (
     s_eta,
     set_stats,
     spec_set,
-    sumset,
 )
 from .decompose import decompose, trivial_expr
 from .fourier import RealFn, convolve, lp_norm
@@ -44,6 +43,7 @@ from .spectral import (
     MAX_PD_DEGREE,
     a_norm,
     approx_hom_defect,
+    pd_eval,
     psi,
     round_to_int,
     spectral_support_level,
@@ -137,6 +137,19 @@ TINY_NORM_TOL = 1e-9
 # equality on the whole grid, so pd's worst margin is exactly this slack.
 PD_SLACK = 1e-12
 
+# Added to the approx-hom and power-bound bounds on an A-norm: absorbs the
+# rounding of the transforms behind the defect.  With H trivial both
+# defects are exactly 0 and eta is 0, so each margin is exactly this slack.
+NORM_BOUND_SLACK = 1e-9
+# Added to every margin between densities (lemma13, plunnecke, lemma14) and
+# to lemma14's budget test.  A subgroup A has 4A = A and doubling 1, so its
+# plunnecke margin is exactly this slack.
+DENSITY_SLACK = 1e-12
+# Subtracted from each lemma14 level threshold on nu4, see _level_set.
+LEVEL_SLACK = 1e-12
+# rho of the large spectrum in check_chang_report
+CHANG_RHO = 0.25
+
 _TINY_NORM_BLOCK = 512  # masks per block; see check_tiny_norm
 
 
@@ -227,10 +240,7 @@ def check_pd(d_max: int = 4, points: int = 10**4) -> LawReport:
     rep = LawReport(law_id="pd")
     for d in range(d_max + 1):
         t = np.linspace(-d - 0.5, d + 0.5, points)
-        # spectral.pd_eval's order of operations, so p matches it bit for bit
-        p = np.full(points, 4.0**d / math.factorial(2 * d))
-        for j in range(-d, d + 1):
-            p *= t - j
+        p = pd_eval(t, d)
         tbar = np.abs(t - np.round(t))
         lower = np.abs(p) - tbar + PD_SLACK
         upper = tbar * 4.0**d - np.abs(p) + PD_SLACK
@@ -258,7 +268,7 @@ def check_approx_hom(n: int, trials: int, seed: int) -> LawReport:
         H = random_subgroup(ambient, rng)
         eta, _ = spectral_support_level(f, H)
         defect = approx_hom_defect(f, g, H)
-        bound = eta * a_norm(g) + 1e-9
+        bound = eta * a_norm(g) + NORM_BOUND_SLACK
         rep.record(bound - defect, {"trial": t, "seed": seed, "n": n})
     return rep
 
@@ -279,7 +289,7 @@ def check_power_bound(n: int, trials: int, seed: int) -> LawReport:
         pf = psi(f, H)
         pfk = RealFn(ambient, pf.values**k)
         lhs = a_norm(psi(fk, H) - pfk)
-        bound = eta * (k - 1) * m_norm ** (k - 1) + 1e-9
+        bound = eta * (k - 1) * m_norm ** (k - 1) + NORM_BOUND_SLACK
         rep.record(bound - lhs, {"trial": t, "seed": seed, "n": n, "k": k})
     return rep
 
@@ -300,9 +310,9 @@ def check_bogolyubov(
         H = bogolyubov_subgroup(A, rho)
         Sd = s_eta(A, delta)
         Sde = s_eta(A, delta - epsilon)
-        Hset = PointSet(ambient, H.mask())
-        shifted = sumset(Sd, Hset) if Sd.card else Sd
-        ok = bool(np.all(Sde.members | ~shifted.members))
+        # Sd + H: the points whose H-coset meets Sd
+        shifted = psi(Sd.indicator(), H).values > 0
+        ok = bool(np.all(Sde.members | ~shifted))
         rep.record(0.0 if ok else -1.0, {"trial": t, "seed": seed, "n": n})
     return rep
 
@@ -320,9 +330,9 @@ def check_lemma13(n: int, trials: int, seed: int) -> LawReport:
         K = stats.doubling
         eta = 1.0 / (2.0 * K**4)
         S = s_eta(A, eta)
-        m1 = S.density - stats.alpha / 2.0 + 1e-12
+        m1 = S.density - stats.alpha / 2.0 + DENSITY_SLACK
         sup = lp_norm(convolve(A.indicator(), S.indicator()), math.inf)
-        m2 = sup - eta * stats.alpha / 2.0 + 1e-12
+        m2 = sup - eta * stats.alpha / 2.0 + DENSITY_SLACK
         rep.record(min(m1, m2), {"trial": t, "seed": seed, "n": n, "K": K})
     return rep
 
@@ -337,9 +347,14 @@ def check_plunnecke_instances(n: int, trials: int, seed: int) -> LawReport:
         A = _random_set(ambient, rng)
         stats = set_stats(A)
         four = iterated(A, 4)
-        margin = stats.doubling**4 * stats.alpha - four.density + 1e-12
+        margin = stats.doubling**4 * stats.alpha - four.density + DENSITY_SLACK
         rep.record(margin, {"trial": t, "seed": seed, "n": n, "K": stats.doubling})
     return rep
+
+
+def _level_set(nu: np.ndarray, level: float, alpha: float) -> np.ndarray:
+    """{x : nu(x) >= level * alpha^3}, down to LEVEL_SLACK below the level."""
+    return nu >= level * alpha**3 - LEVEL_SLACK
 
 
 @_timed
@@ -367,10 +382,10 @@ def check_lemma14(n: int, trials: int, seed: int) -> LawReport:
         nu = nu4(A).values
         budget = alpha / (16.0 * K**4)
         j_found = None
-        prev = float(np.mean(nu >= eta0 * alpha**3 - 1e-12))
+        prev = float(np.mean(_level_set(nu, eta0, alpha)))
         for j in range(L):
-            cur = float(np.mean(nu >= (eta0 - (j + 1) * eps) * alpha**3 - 1e-12))
-            if cur - prev <= budget + 1e-12:
+            cur = float(np.mean(_level_set(nu, eta0 - (j + 1) * eps, alpha)))
+            if cur - prev <= budget + DENSITY_SLACK:
                 j_found = j
                 break
             prev = cur
@@ -379,29 +394,27 @@ def check_lemma14(n: int, trials: int, seed: int) -> LawReport:
             continue
         rho = 1.0 / (16.0 * K**6)
         Hp = bogolyubov_subgroup(A, rho)
-        S = PointSet(
-            ambient, nu >= (eta0 - (j_found + 1) * eps) * alpha**3 - 1e-12
-        )
+        S = PointSet(ambient, _level_set(nu, eta0 - (j_found + 1) * eps, alpha))
         cover = spectral._coset_sums(S.members.astype(np.float64), Hp)
         fully = cover > Hp.size - 0.5
         X = S.members & ~fully
-        margin = budget - float(np.mean(X)) + 1e-12
+        margin = budget - float(np.mean(X)) + DENSITY_SLACK
         rep.record(margin, {"trial": t, "seed": seed, "n": n, "K": K})
     return rep
 
 
 @_timed
-def check_chang_report(n: int, trials: int, seed: int, rho: float = 0.25) -> LawReport:
+def check_chang_report(n: int, trials: int, seed: int) -> LawReport:
     """Report-only: dimension of span(Spec_rho(A)) against the Chang
-    shape rho^-2 (1 + ln(1/alpha)).  Never fails."""
+    shape rho^-2 (1 + ln(1/alpha)), rho = CHANG_RHO.  Never fails."""
     rep = LawReport(law_id="chang-report")
     ambient = Ambient(n)
     ratios = []
     for t in range(trials):
         rng = rng_for(seed, t)
         A = _random_set(ambient, rng)
-        dim = rref_span(ambient, spec_set(A, rho).points()).dim
-        shape = rho**-2 * (1.0 + math.log(1.0 / A.density))
+        dim = rref_span(ambient, spec_set(A, CHANG_RHO).points()).dim
+        shape = CHANG_RHO**-2 * (1.0 + math.log(1.0 / A.density))
         ratios.append(dim / shape)
         rep.record(0.0, {"trial": t})
     rep.notes["max_dim_over_shape"] = max(ratios) if ratios else None
@@ -448,7 +461,6 @@ def check_roundtrip(n: int, count: int, seed: int) -> LawReport:
     rep = LawReport(law_id="roundtrip")
     ambient = Ambient(n)
     ratios = []
-    fallbacks = 0
     for t in range(count):
         rng = rng_for(seed, t)
         flats = 1 + t % 4
@@ -458,13 +470,12 @@ def check_roundtrip(n: int, count: int, seed: int) -> LawReport:
         l_triv = trivial_expr(round_to_int(f).f_int).L
         if l_triv:
             ratios.append(drep.L / l_triv)
-        fallbacks += drep.fallback_used
         rep.record(
             0.0 if drep.exact else -1.0,
             {"trial": t, "seed": seed, "n": n, "record": record},
         )
     rep.notes["median_L_ratio"] = median(ratios) if ratios else None
-    rep.notes["fallback_runs"] = fallbacks
+    rep.notes["fallback_runs"] = 0  # decompose has no fallback; kept as a note key
     return rep
 
 

@@ -4,12 +4,15 @@ almost-integer bookkeeping.
 psi_H averages a function over cosets of H; on the Fourier side it
 restricts the spectrum to the annihilator H^perp.  The greedy
 spectral-support finder descends from H one codimension at a time,
-each step swallowing an offending coset of ell^1 spectral mass.
+each step swallowing an offending coset of ell^1 spectral mass; the
+support level of f on H is that descent run with eta = inf, so that it
+takes no step.  pd_eval evaluates the integer-detecting polynomial p_d
+at a float or over a whole array, and pd_apply applies it to a table.
 
-Both run on coset sums computed without transforms: one XOR-gather fold
-per basis word (_coset_sums).  psi folds f over H's basis and divides by
-|H|; the descent folds |fhat| over H^perp once, then once per step with
-the adjoined frequency word.
+psi and the descent run on coset sums computed without transforms: one
+XOR-gather fold per basis word (_coset_sums).  psi folds f over H's
+basis and divides by |H|; the descent folds |fhat| over H^perp once,
+then once per step with the adjoined frequency word.
 """
 
 from __future__ import annotations
@@ -101,14 +104,14 @@ def _worst_off_coset(sums: np.ndarray, dual: Subgroup) -> tuple[float, int]:
 
 
 def spectral_support_level(f: RealFn, H: Subgroup) -> tuple[float, int]:
-    """Worst off-H^perp coset mass of fhat and the coset's smallest rep.
+    """Worst off-H^perp coset mass of fhat and the coset's smallest rep:
+    the descent from H that takes no step.
 
-    Returns (0.0, 0) when H is the full group (no off cosets exist).
+    Returns (0.0, 0) when H is trivial, so that H^perp is the whole
+    group and no off cosets exist.
     """
-    Hp = H.annihilator()
-    if Hp.dim == f.ambient.n:
-        return 0.0, 0
-    return _worst_off_coset(_coset_sums(np.abs(wht(f).coeffs), Hp), Hp)
+    cert = find_spectral_support(f, H, math.inf)
+    return cert.worst_mass, cert.worst_coset_rep
 
 
 def is_spectrally_supported(f: RealFn, H: Subgroup, eta: float):
@@ -146,7 +149,7 @@ def find_spectral_support(f: RealFn, H: Subgroup, eta: float) -> SupportCertific
         sums = sums + sums[idx ^ rep]
         steps += 1
     return SupportCertificate(
-        subgroup=dual.annihilator(),
+        subgroup=dual.annihilator() if steps else H,  # (H^perp)^perp = H
         eta=eta,
         worst_coset_rep=rep,
         worst_mass=worst,
@@ -162,23 +165,20 @@ def approx_hom_defect(f: RealFn, g: RealFn, H: Subgroup) -> float:
 MAX_PD_DEGREE = 12  # (2d)! stays exactly representable territory
 
 
-def pd_eval(t: float, d: int) -> float:
-    """The integer-detecting polynomial 4^d (2d)!^-1 prod_{j=-d}^d (t - j)."""
+def pd_eval(t: float | np.ndarray, d: int) -> float | np.ndarray:
+    """The integer-detecting polynomial 4^d (2d)!^-1 prod_{j=-d}^d (t - j),
+    at a float or entrywise over an array, with the same operations in
+    the same order either way."""
     if not 0 <= d <= MAX_PD_DEGREE:
         raise ValueError(f"d must be in [0, {MAX_PD_DEGREE}]")
     out = 4.0**d / math.factorial(2 * d)
     for j in range(-d, d + 1):
-        out *= t - j
+        out = out * (t - j)
     return out
 
 
 def pd_apply(f: RealFn, d: int) -> RealFn:
-    if not 0 <= d <= MAX_PD_DEGREE:
-        raise ValueError(f"d must be in [0, {MAX_PD_DEGREE}]")
-    out = np.full(f.ambient.size, 4.0**d / math.factorial(2 * d))
-    for j in range(-d, d + 1):
-        out *= f.values - j
-    return RealFn(f.ambient, out)
+    return RealFn(f.ambient, pd_eval(f.values, d))
 
 
 ROUND_GUARD = 0.5 - 1e-9

@@ -58,6 +58,11 @@ class TestTruthTableIO:
         g = read_truth_table(str(p))
         assert np.array_equal(g.values.view(np.uint64), vals.view(np.uint64))
 
+    def test_bits_then_blank_lines(self, tmp_path):
+        p = tmp_path / "f.txt"
+        p.write_text("n=2\nbits=0101\n\n \t\n")
+        assert np.array_equal(read_truth_table(str(p)).values, [0.0, 1.0, 0.0, 1.0])
+
     def test_real_multiline(self, tmp_path):
         p = tmp_path / "f.txt"
         p.write_text("n=2\nreal=1.0 0.5\n-0.5 0.25\n")
@@ -88,6 +93,7 @@ class TestTruthTableIO:
             "n=2\nreal=1.0,0.5,0.0,0.0\n",
             "n=2\nreal=1.0 0.5 0.0 0.0 x\n",
             "n=2\nreal= \n \n",
+            "n=2\nbits=1010\n0101\n",  # content after the bits= line
             b"n=2\nreal=1.0 \xff 0.0 0.0\n",  # not UTF-8
         ],
     )
@@ -274,7 +280,8 @@ class TestBenchCmd:
 
 # path placeholders, filled in per test: TABLE a valid truth table, OUT a
 # writable file, MISSING a file in a directory that does not exist, BINARY
-# a table with a 0xff byte, DIR a directory
+# a table with a 0xff byte, DIR a directory, TRAILING a table with a line of
+# text after its bits= line
 @pytest.mark.parametrize(
     "argv",
     [
@@ -296,6 +303,7 @@ class TestBenchCmd:
         ["gen", "coset-ring", "--n", "6", "--out", "MISSING"],
         ["anorm", "--input", "BINARY"],
         ["anorm", "--input", "DIR"],
+        ["anorm", "--input", "TRAILING"],
         ["verify", "pd", "--n", "4"],
         ["verify", "pd", "--trials", "5"],
         ["verify", "pd", "--seed", "1"],
@@ -309,15 +317,18 @@ class TestBenchCmd:
          "verify-roundtrip-trials-0", "wht-out-missing-dir",
          "psi-out-missing-dir", "decompose-out-missing-dir",
          "gen-out-missing-dir", "anorm-input-not-utf8", "anorm-input-dir",
+         "anorm-input-after-bits",
          "verify-pd-n", "verify-pd-trials", "verify-pd-seed",
          "verify-tiny-norm-trials", "verify-tiny-norm-seed"],
 )
 def test_bad_flags_exit_2(argv, coset_table, tmp_path, capsys):
     binary = tmp_path / "binary.txt"
     binary.write_bytes(b"n=2\nreal=1.0 \xff 0.0 0.0\n")
+    trailing = tmp_path / "trailing.txt"
+    trailing.write_text("n=2\nbits=0101\ngarbage here\n")
     paths = {"TABLE": coset_table[0], "OUT": str(tmp_path / "g.txt"),
              "MISSING": str(tmp_path / "no-such-dir" / "out"),
-             "BINARY": str(binary), "DIR": str(tmp_path)}
+             "BINARY": str(binary), "DIR": str(tmp_path), "TRAILING": str(trailing)}
     argv = [paths.get(a, a) for a in argv]
     assert main(argv) == EXIT_BAD_INPUT
     err = capsys.readouterr().err

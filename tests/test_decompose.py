@@ -19,7 +19,7 @@ from specnorm.decompose import (
 from specnorm.fourier import RealFn
 from specnorm.generate import flat_indicator, gen_coset_ring, random_flat, rng_for
 from specnorm.gf2 import Ambient, rref_span, trivial
-from specnorm.spectral import NotAlmostInteger, a_norm, round_to_int
+from specnorm.spectral import NotAlmostInteger, a_norm, psi, round_to_int
 
 
 EPS0 = DecomposeParams().eps0
@@ -91,6 +91,45 @@ class TestEvaluateTrivial:
         expr = trivial_expr(RealFn(a, np.zeros(8)))
         assert expr.L == 0
         assert np.array_equal(expr_values(expr), np.zeros(8, dtype=np.int64))
+
+
+def reference_trivial_expr(f_int):
+    """The point-mass expression by a loop over the nonzero points."""
+    vals = np.rint(f_int.values).astype(np.int64)
+    triv = trivial(f_int.ambient)
+    terms = []
+    for x in np.nonzero(vals)[0]:
+        terms.extend(coset_to_subgroups(SignedCosetTerm(int(vals[x]), int(x), triv)))
+    return CosetRingExpr(f_int.ambient, tuple(terms))
+
+
+def reference_split_norms(f):
+    """The split norms through f1 = psi_{H'} f_int and three transforms."""
+    f_int = f.f_int
+    cert = inductive_step(f).certificate
+    f1 = psi(f_int, cert.subgroup)
+    return a_norm(f_int), (a_norm(f1), a_norm(f_int - f1))
+
+
+class TestMergedPathsMatchReferences:
+    @given(signed_flat_sums())
+    @settings(max_examples=80, deadline=None)
+    def test_trivial_expr_terms_and_order(self, f):
+        assert trivial_expr(f).terms == reference_trivial_expr(f).terms
+
+    @given(st.integers(1, 6), st.integers(0, 2**32 - 1))
+    @settings(max_examples=40, deadline=None)
+    def test_trivial_expr_on_random_integer_tables(self, n, seed):
+        a = Ambient(n)
+        f = RealFn(a, rng_for(seed).integers(-3, 4, a.size).astype(float))
+        assert trivial_expr(f).terms == reference_trivial_expr(f).terms
+
+    @given(signed_flat_sums())
+    @settings(max_examples=80, deadline=None)
+    def test_split_norms_bitwise(self, f):
+        out = inductive_step(round_to_int(f))
+        before, parts = reference_split_norms(round_to_int(f))
+        assert repr((out.a_norm_before, out.a_norm_parts)) == repr((before, parts))
 
 
 class TestInductiveStep:

@@ -242,6 +242,22 @@ class TestInner:
         assert np.max(np.abs(wht(phi).coeffs)) == pytest.approx(2.0)
 
 
+class TestTableValidation:
+    @pytest.mark.parametrize("cls", [RealFn, Spectrum])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_rejected(self, cls, bad):
+        vals = np.zeros(8)
+        vals[5] = bad
+        with pytest.raises(ValueError, match="non-finite"):
+            cls(Ambient(3), vals)
+
+    @pytest.mark.parametrize("cls", [RealFn, Spectrum])
+    @pytest.mark.parametrize("shape", [(7,), (9,), (2, 4), ()])
+    def test_wrong_shape_rejected(self, cls, shape):
+        with pytest.raises(ValueError, match="expected 8 values"):
+            cls(Ambient(3), np.zeros(shape))
+
+
 class TestSpectrumJson:
     def test_sorted_and_thresholded(self):
         s = wht(RealFn(Ambient(2), THREE_CORNER))

@@ -12,6 +12,9 @@ from hypothesis import strategies as st
 from specnorm import laws
 from specnorm.laws import (
     CHECKS,
+    DENSITY_SLACK,
+    LEVEL_SLACK,
+    NORM_BOUND_SLACK,
     PD_SLACK,
     TINY_NORM_TOL,
     LawReport,
@@ -27,6 +30,9 @@ from specnorm.laws import (
     check_roundtrip,
     check_tiny_norm,
 )
+from specnorm.additive import PointSet
+from specnorm.generate import random_subgroup
+from specnorm.gf2 import trivial
 from specnorm.spectral import pd_eval
 
 
@@ -299,3 +305,33 @@ class TestPdArrayPass:
         rep = check_pd(0, 101)
         assert rep.failures == rep.trials == 102
         assert rep.counterexample == {"d": 0, "t": -0.5, "law": "lower"}
+
+
+class TestNamedSlacks:
+    @pytest.mark.parametrize("check", [check_approx_hom, check_power_bound])
+    def test_norm_bound_slack_edge(self, monkeypatch, check):
+        # with H trivial psi is the identity, so eta and every defect are
+        # exactly 0 and every margin is exactly the slack
+        monkeypatch.setattr(laws, "random_subgroup", lambda ambient, rng: trivial(ambient))
+        rep = check(6, 20, 3)
+        assert (rep.failures, rep.worst_margin) == (0, NORM_BOUND_SLACK)
+        monkeypatch.setattr(laws, "NORM_BOUND_SLACK", -math.ulp(0.0))
+        assert check(6, 20, 3).failures == 20
+
+    def test_density_slack_edge(self, monkeypatch):
+        # a subgroup A has 4A = A and doubling 1, so every plunnecke margin
+        # is exactly the slack
+        monkeypatch.setattr(laws, "_random_set", lambda ambient, rng: PointSet(
+            ambient, random_subgroup(ambient, rng).mask()))
+        rep = check_plunnecke_instances(6, 20, 3)
+        assert (rep.failures, rep.worst_margin) == (0, DENSITY_SLACK)
+        monkeypatch.setattr(laws, "DENSITY_SLACK", -math.ulp(0.0))
+        assert check_plunnecke_instances(6, 20, 3).failures == 20
+
+    def test_level_slack_edge(self):
+        # a nu4 value down to LEVEL_SLACK below the level is in the level
+        # set, and one ulp further down is out
+        level, alpha = 0.375, 0.25
+        edge = level * alpha**3 - LEVEL_SLACK
+        nu = np.array([level * alpha**3 - 0.5 * LEVEL_SLACK, edge, np.nextafter(edge, -np.inf)])
+        assert laws._level_set(nu, level, alpha).tolist() == [True, True, False]

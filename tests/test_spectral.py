@@ -10,6 +10,7 @@ from specnorm.fourier import RealFn, Spectrum, constant, iwht, wht
 from specnorm.generate import flat_indicator, gen_coset_ring, random_subgroup, rng_for
 from specnorm.gf2 import Ambient, full, rref_span, trivial
 from specnorm.spectral import (
+    MAX_PD_DEGREE,
     TIE_SLACK,
     NotAlmostInteger,
     _coset_sums,
@@ -191,6 +192,31 @@ class TestSpectralSupport:
         assert rep == 0b01  # smallest word of the coset {01, 11}
 
 
+def reference_support_level(f, H):
+    """The support level without the descent: H^perp, the coset sums of
+    |fhat| over it, and the worst coset off it."""
+    Hp = H.annihilator()
+    if Hp.dim == f.ambient.n:
+        return 0.0, 0
+    return _worst_off_coset(_coset_sums(np.abs(wht(f).coeffs), Hp), Hp)
+
+
+class TestSupportLevel:
+    @given(tables_and_subgroups(REALS, max_n=8))
+    @settings(max_examples=100, deadline=None)
+    def test_zero_step_descent_matches_reference(self, fH):
+        f, H = fH
+        for K in (H, full(f.ambient), trivial(f.ambient)):
+            got = spectral_support_level(f, K)
+            want = reference_support_level(f, K)
+            assert repr(got) == repr(want)
+
+    def test_trivial_subgroup_has_no_off_coset(self):
+        # H = {0} has H^perp the whole group
+        assert spectral_support_level(THREE_CORNER, trivial(Ambient(2))) == (0.0, 0)
+        assert spectral_support_level(THREE_CORNER, full(Ambient(2))) == (0.25, 1)
+
+
 class TestWorstOffCoset:
     @pytest.mark.parametrize("below, rep", [(0.0, 3), (0.5, 3), (1.0, 3), (2.0, 5)])
     def test_tie_slack_edge(self, below, rep):
@@ -363,6 +389,33 @@ class TestPd:
         delta = float(np.max(np.abs(pd_apply(f, d).values)))
         assert delta <= 0.5
         assert round_to_int(f).eps <= delta + 1e-12
+
+
+def reference_pd_apply(f, d):
+    """p_d over a table by in-place products on a filled array."""
+    out = np.full(f.ambient.size, 4.0**d / math.factorial(2 * d))
+    for j in range(-d, d + 1):
+        out *= f.values - j
+    return out
+
+
+class TestPdArray:
+    @given(st.integers(0, MAX_PD_DEGREE), st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_array_matches_scalar_bitwise(self, d, data):
+        a = Ambient(data.draw(st.integers(1, 5)))
+        ts = data.draw(st.lists(st.floats(-2.0 * (d + 1), 2.0 * (d + 1)),
+                                min_size=a.size, max_size=a.size))
+        t = np.array(ts, dtype=np.float64)
+        scalar = np.array([pd_eval(x, d) for x in ts], dtype=np.float64)
+        assert pd_eval(t, d).tobytes() == scalar.tobytes()
+        f = RealFn(a, t)
+        assert pd_apply(f, d).values.tobytes() == scalar.tobytes()
+        assert reference_pd_apply(f, d).tobytes() == scalar.tobytes()
+
+    def test_array_degree_guard(self):
+        with pytest.raises(ValueError):
+            pd_eval(np.zeros(4), MAX_PD_DEGREE + 1)
 
 
 class TestRoundToInt:
