@@ -38,6 +38,7 @@ from .additive import (
     iterated,
     nu4,
     s_eta,
+    set_convolution,
     set_stats,
     spec_set,
     sumset,

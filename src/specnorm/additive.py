@@ -2,17 +2,24 @@
 large-spectrum sets, Bogolyubov subgroups, arithmetic connectedness,
 and the concentration-subgroup search (a heuristic candidate ladder
 with no exhaustive mode; decompose does not use it).
+
+A PointSet is immutable, so it transforms its indicator at most once
+(``PointSet.spectrum``) and computes its nu4 at most once.  sumset,
+nu4, s_eta, spec_set and bogolyubov_subgroup read those caches, and
+iterated builds kA by doubling (4A = 2A + 2A), so a set's spectrum is
+reused by every law that looks at it.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import combinations
 
 import numpy as np
 
-from . import fourier, spectral
+from . import spectral
 from .fourier import RealFn, Spectrum, iwht, wht
 from .gf2 import Ambient, AmbientMismatch, Subgroup, rref_span, trivial
 from .spectral import AlmostIntFn
@@ -28,15 +35,20 @@ class SearchBudgetExceeded(RuntimeError):
 
 @dataclass(frozen=True)
 class PointSet:
-    """Subset of F_2^n as a dense boolean membership table."""
+    """Subset of F_2^n as a dense boolean membership table.
+
+    The table is a read-only copy of the one passed in, so the cached
+    spectrum and nu4 below can never go stale.
+    """
 
     ambient: Ambient
     members: np.ndarray
 
     def __post_init__(self):
-        m = np.asarray(self.members, dtype=bool)
+        m = np.array(self.members, dtype=bool)
         if m.shape != (self.ambient.size,):
             raise ValueError("membership table has wrong length")
+        m.flags.writeable = False
         object.__setattr__(self, "members", m)
 
     @staticmethod
@@ -60,6 +72,19 @@ class PointSet:
     def indicator(self) -> RealFn:
         return RealFn(self.ambient, self.members.astype(np.float64))
 
+    @cached_property
+    def spectrum(self) -> np.ndarray:
+        """wht(self.indicator()).coeffs, computed once, read-only."""
+        c = wht(self.indicator()).coeffs
+        c.flags.writeable = False
+        return c
+
+    @cached_property
+    def _nu4(self) -> RealFn:
+        out = iwht(Spectrum(self.ambient, self.spectrum**4))
+        out.values.flags.writeable = False
+        return out
+
     def _check(self, other: "PointSet") -> None:
         if self.ambient != other.ambient:
             raise AmbientMismatch("sets in different ambients")
@@ -78,30 +103,43 @@ def set_stats(A: PointSet) -> SetStats:
     return SetStats(alpha=alpha, doubling=sumset(A, A).card / A.card)
 
 
+def set_convolution(A: PointSet, B: PointSet) -> RealFn:
+    """1_A * 1_B, E-normalized, from the two cached spectra: the same
+    operations as fourier.convolve(A.indicator(), B.indicator())."""
+    A._check(B)
+    return iwht(Spectrum(A.ambient, A.spectrum * B.spectrum))
+
+
 def sumset(A: PointSet, B: PointSet) -> PointSet:
     """{a xor b : a in A, b in B}, via representation counts."""
-    A._check(B)
-    n_pts = A.ambient.size
-    counts = n_pts * fourier.convolve(A.indicator(), B.indicator()).values
+    counts = A.ambient.size * set_convolution(A, B).values
     return PointSet(A.ambient, counts > 0.5)
 
 
 def iterated(A: PointSet, k: int) -> PointSet:
-    """k-fold sumset A + ... + A."""
+    """k-fold sumset A + ... + A, by binary doubling (4A = 2A + 2A).
+
+    Each step is one sumset of two sets, whose representation counts are
+    at most 2^n, so the 0.5 threshold separates them as in A + A.
+    """
     if k < 1:
         raise ValueError("k must be >= 1")
-    out = A
-    for _ in range(k - 1):
-        out = sumset(out, A)
-    return out
+    out = None
+    power = A  # A doubled so far: A, 2A, 4A, ...
+    while True:
+        if k & 1:
+            out = power if out is None else sumset(out, power)
+        k >>= 1
+        if not k:
+            return out
+        power = sumset(power, power)
 
 
 def nu4(A: PointSet) -> RealFn:
-    """Fourfold E-convolution of the indicator of A."""
+    """Fourfold E-convolution of the indicator of A (cached, read-only)."""
     if A.card == 0:
         raise ValueError("nu4 of the empty set")
-    c = wht(A.indicator()).coeffs
-    return iwht(Spectrum(A.ambient, c**4))
+    return A._nu4
 
 
 # relative guard on the nu4 threshold: absorbs transform rounding
@@ -128,7 +166,7 @@ def spec_set(A: PointSet, rho: float) -> PointSet:
     if not 0 < rho <= 1:
         raise ValueError("rho must be in (0, 1]")
     alpha = A.density
-    c = np.abs(wht(A.indicator()).coeffs)
+    c = np.abs(A.spectrum)
     return PointSet(A.ambient, c >= rho * alpha - SPEC_SET_SLACK * alpha)
 
 

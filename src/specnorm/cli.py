@@ -21,7 +21,7 @@ from .decompose import DecomposeParams, decompose, decomposition_json
 from .fourier import RealFn, spectrum_to_json, wht
 from .generate import flat_indicator, gen_coset_ring, gen_random_boolean, random_subgroup, rng_for
 from .gf2 import Ambient, Subgroup
-from .io import read_truth_table, write_truth_table
+from .io import _format_reals, read_truth_table, write_truth_table
 from .spectral import a_norm, psi
 
 EXIT_OK = 0
@@ -59,7 +59,7 @@ def cmd_psi(args) -> int:
     if args.out:
         write_truth_table(args.out, g)
     else:
-        print(" ".join(repr(float(v)) for v in g.values))
+        print(_format_reals(g.values))
     return EXIT_OK
 
 

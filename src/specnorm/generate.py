@@ -18,9 +18,9 @@ def rng_for(seed: int, index: int = 0) -> np.random.Generator:
     return np.random.default_rng([int(seed), int(index)])
 
 
-def random_subgroup(ambient: Ambient, rng, max_dim: int | None = None) -> Subgroup:
-    n = ambient.n
-    d = int(rng.integers(0, (max_dim if max_dim is not None else n) + 1))
+def random_subgroup(ambient: Ambient, rng) -> Subgroup:
+    """The span of d uniform words, d uniform in 0..n."""
+    d = int(rng.integers(0, ambient.n + 1))
     gens = rng.integers(0, ambient.size, size=d)
     return rref_span(ambient, gens)
 

@@ -71,6 +71,17 @@ def read_truth_table(path: str) -> RealFn:
     raise MalformedInput("second line must start with bits= or real=")
 
 
+def _format_reals(vals: np.ndarray) -> str:
+    """The string " ".join(repr(float(v)) for v in vals), formatting each
+    distinct float64 bit pattern once: a projection or a step function has
+    few distinct values among its 2^n entries.  Keyed on the bits, so -0.0
+    keeps its own repr apart from 0.0."""
+    bits = np.ascontiguousarray(vals, dtype=np.float64).view(np.uint64)
+    distinct, where = np.unique(bits, return_inverse=True)
+    words = np.array(list(map(repr, distinct.view(np.float64).tolist())), dtype=object)
+    return " ".join(words[where].tolist())
+
+
 def write_truth_table(path: str, f: RealFn) -> None:
     vals = f.values
     with open(path, "w") as fh:
@@ -78,4 +89,4 @@ def write_truth_table(path: str, f: RealFn) -> None:
         if np.array_equal(vals, vals.astype(bool).astype(float)):
             fh.write("bits=" + (vals.astype(np.uint8) + ord("0")).tobytes().decode() + "\n")
         else:
-            fh.write("real=" + " ".join(repr(float(v)) for v in vals) + "\n")
+            fh.write("real=" + _format_reals(vals) + "\n")

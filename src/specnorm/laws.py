@@ -25,11 +25,12 @@ from .additive import (
     iterated,
     nu4,
     s_eta,
+    set_convolution,
     set_stats,
     spec_set,
 )
 from .decompose import decompose, trivial_expr
-from .fourier import RealFn, convolve, lp_norm
+from .fourier import RealFn, lp_norm
 # a module name of its own, so that tests can swap in a faulty matrix
 from .fourier import sylvester as _hadamard
 from .generate import (
@@ -331,7 +332,7 @@ def check_lemma13(n: int, trials: int, seed: int) -> LawReport:
         eta = 1.0 / (2.0 * K**4)
         S = s_eta(A, eta)
         m1 = S.density - stats.alpha / 2.0 + DENSITY_SLACK
-        sup = lp_norm(convolve(A.indicator(), S.indicator()), math.inf)
+        sup = lp_norm(set_convolution(A, S), math.inf)
         m2 = sup - eta * stats.alpha / 2.0 + DENSITY_SLACK
         rep.record(min(m1, m2), {"trial": t, "seed": seed, "n": n, "K": K})
     return rep

@@ -21,7 +21,7 @@ from specnorm.additive import (
     spec_set,
     sumset,
 )
-from specnorm.fourier import RealFn
+from specnorm.fourier import RealFn, Spectrum, convolve, iwht, wht
 from specnorm.generate import flat_indicator, rng_for
 from specnorm.gf2 import Ambient, full, rref_span
 from specnorm.spectral import psi, round_to_int
@@ -225,6 +225,97 @@ class TestSumsetWithSubgroup:
         S, H = PointSet(a, np.zeros(a.size, dtype=bool)), rref_span(a, gens)
         assert not (psi(S.indicator(), H).values > 0).any()
         assert sumset(S, PointSet(a, H.mask())).card == 0
+
+
+def reference_sumset(A, B):
+    """sumset's members before PointSet cached its spectrum: fourier.convolve
+    on the two indicators, three transforms."""
+    counts = A.ambient.size * convolve(A.indicator(), B.indicator()).values
+    return counts > 0.5
+
+
+def reference_iterated(A, k):
+    """iterated's members as a left fold, ((A + A) + A) + ..."""
+    out = A
+    for _ in range(k - 1):
+        out = PointSet(A.ambient, reference_sumset(out, A))
+    return out.members
+
+
+def reference_nu4(A):
+    c = wht(A.indicator()).coeffs
+    return iwht(Spectrum(A.ambient, c**4)).values
+
+
+def reference_spec_set(A, rho):
+    alpha = A.density
+    c = np.abs(wht(A.indicator()).coeffs)
+    return c >= rho * alpha - SPEC_SET_SLACK * alpha
+
+
+@st.composite
+def point_sets(draw, max_n=8):
+    """Any subset of F_2^n, n <= max_n, the empty one included."""
+    a = Ambient(draw(st.integers(1, max_n)))
+    return PointSet(a, draw(st.lists(st.booleans(), min_size=a.size, max_size=a.size)))
+
+
+@st.composite
+def set_pairs(draw):
+    A = draw(point_sets())
+    B = PointSet(A.ambient, draw(st.lists(st.booleans(), min_size=A.ambient.size,
+                                          max_size=A.ambient.size)))
+    return A, B
+
+
+class TestCachedSpectraMatchReferences:
+    """sumset, iterated, nu4 and spec_set read the set's cached spectrum;
+    each must equal the transform-per-call reference bit for bit."""
+
+    @given(set_pairs())
+    @settings(max_examples=100, deadline=None)
+    def test_sumset(self, AB):
+        A, B = AB
+        assert np.array_equal(sumset(A, B).members, reference_sumset(A, B))
+
+    @given(point_sets(), st.integers(1, 6))
+    @settings(max_examples=100, deadline=None)
+    def test_iterated_by_doubling(self, A, k):
+        assert np.array_equal(iterated(A, k).members, reference_iterated(A, k))
+
+    @given(point_sets(), st.sampled_from([0.125, 0.25, 0.5, 0.75, 1.0]))
+    @settings(max_examples=100, deadline=None)
+    def test_spectrum_nu4_spec_set(self, A, rho):
+        assert np.array_equal(A.spectrum, wht(A.indicator()).coeffs)
+        assert np.array_equal(spec_set(A, rho).members, reference_spec_set(A, rho))
+        if A.card == 0:
+            with pytest.raises(ValueError):
+                nu4(A)
+        else:
+            assert np.array_equal(nu4(A).values, reference_nu4(A))
+
+    @pytest.mark.parametrize("n", [1, 3, 8])
+    def test_empty_set(self, n):
+        a = Ambient(n)
+        E = PointSet(a, np.zeros(a.size, dtype=bool))
+        for k in range(1, 7):
+            assert iterated(E, k).card == 0
+        assert sumset(E, PointSet(a, np.ones(a.size, dtype=bool))).card == 0
+        assert np.array_equal(spec_set(E, 0.5).members, reference_spec_set(E, 0.5))
+
+
+class TestPointSetIsImmutable:
+    def test_caller_mask_stays_writable_and_apart(self):
+        mask = np.zeros(8, dtype=bool)
+        A = PointSet(Ambient(3), mask)
+        mask[5] = True
+        assert mask.flags.writeable and A.card == 0
+
+    def test_members_and_caches_are_read_only(self):
+        A = PointSet.from_points(Ambient(3), [0, 1, 6])
+        for arr in (A.members, A.spectrum, nu4(A).values):
+            with pytest.raises(ValueError):
+                arr[0] = arr[1]
 
 
 def reference_connectedness(A, m):

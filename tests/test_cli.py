@@ -2,6 +2,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from specnorm import laws
 from specnorm.cli import (
@@ -14,7 +16,48 @@ from specnorm.cli import (
 from specnorm.fourier import RealFn
 from specnorm.generate import flat_indicator
 from specnorm.gf2 import Ambient, rref_span
-from specnorm.io import MalformedInput, read_truth_table, write_truth_table
+from specnorm.io import MalformedInput, _format_reals, read_truth_table, write_truth_table
+from specnorm.spectral import psi
+
+
+def reference_real_line(vals):
+    """The real= body and psi stdout line as one repr per entry."""
+    return " ".join(repr(float(v)) for v in vals)
+
+
+def _format_cases():
+    rng = np.random.default_rng(7)
+    a = Ambient(10)
+    f = RealFn(a, rng.uniform(-1, 1, a.size))
+    H = rref_span(a, [0b11, 0b1000, 0b100000])
+    tiny = np.array([5e-324, -5e-324, 2.2250738585072014e-308, 1e-310, -0.0, 0.0])
+    return {
+        "psi-real": psi(f, H).values,
+        "psi-boolean": psi(flat_indicator(rref_span(a, [0b101]), 3), H).values,
+        "uniform": rng.uniform(-1, 1, 1000),
+        "signed-zeros": np.array([0.0, -0.0, 0.0, -0.0, 1.0, -0.0]),
+        "subnormals": np.concatenate([tiny, tiny[::-1] * 3]),
+        "1e16-range": rng.uniform(-1, 1, 300) * 10.0 ** rng.integers(-17, 17, 300),
+    }
+
+
+class TestFormatReals:
+    @pytest.mark.parametrize("case", sorted(_format_cases()))
+    def test_matches_reference(self, case):
+        vals = _format_cases()[case]
+        assert _format_reals(vals) == reference_real_line(vals)
+
+    @given(st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=1, max_size=64))
+    @settings(max_examples=200, deadline=None)
+    def test_drawn_floats(self, xs):
+        vals = np.array(xs, dtype=np.float64)
+        assert _format_reals(vals) == reference_real_line(vals)
+
+    def test_psi_stdout(self, coset_table, capsys):
+        path, f = coset_table
+        assert main(["psi", "--input", path, "--subgroup", '["0x3"]']) == EXIT_OK
+        want = reference_real_line(psi(f, rref_span(f.ambient, [0b11])).values)
+        assert capsys.readouterr().out == want + "\n"
 
 
 @pytest.fixture

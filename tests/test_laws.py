@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from specnorm import laws
+from specnorm import fourier, laws
 from specnorm.laws import (
     CHECKS,
     DENSITY_SLACK,
@@ -305,6 +305,24 @@ class TestPdArrayPass:
         rep = check_pd(0, 101)
         assert rep.failures == rep.trials == 102
         assert rep.counterexample == {"d": 0, "t": -0.5, "law": "lower"}
+
+
+class TestTransformsPerTrial:
+    """Each PointSet transforms its indicator once and computes nu4 once.
+    plunnecke: A's spectrum, 2A twice (set_stats, then the doubling), 2A's
+    spectrum and 4A; bogolyubov: A's spectrum and one nu4 for both level
+    sets; lemma13: A's spectrum, 2A, nu4, S's spectrum and 1_A * 1_S.
+    A missed cache shows as extra transforms."""
+
+    @pytest.mark.parametrize("check, per_trial", [
+        (check_plunnecke_instances, 5), (check_bogolyubov, 2), (check_lemma13, 5),
+    ], ids=["plunnecke", "bogolyubov", "lemma13"])
+    def test_count(self, monkeypatch, check, per_trial):
+        calls = []
+        kernel = fourier._wht
+        monkeypatch.setattr(fourier, "_wht", lambda a: calls.append(a.size) or kernel(a))
+        assert check(6, 7, 0).passed
+        assert len(calls) == 7 * per_trial
 
 
 class TestNamedSlacks:
