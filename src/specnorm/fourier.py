@@ -13,6 +13,13 @@ integer table whose partial sums stay below 2^53 transforms exactly,
 whatever order the matmul sums in; real tables agree with the radix-2
 butterfly to within rounding.  BACKEND names the kernel for reports
 that record which kernel ran.
+
+The kernel transforms the last axis, so one call transforms a whole
+(m, 2^n) stack of rows, and a 1-D table is the m = 1 case.  At n >= 5
+each row comes out bit for bit as its own 1-D transform.  At n <= 4 a
+1-D table takes numpy's vector path and a stack the matrix path, which
+agree to within rounding; a stack of one row is padded onto the matrix
+path, so a row's transform never depends on how many rows share it.
 """
 
 from __future__ import annotations
@@ -38,22 +45,30 @@ _SYLVESTER = tuple(sylvester(1 << k) for k in range(RADIX_BITS + 1))
 
 
 def _wht(a: np.ndarray) -> np.ndarray:
-    """Unnormalized transform of a 2^n table, as a new array.
+    """Unnormalized transform of the last axis of a (2^n,) table or an
+    (m, 2^n) stack of rows, as a new array.
 
-    A stage transforms index bits lo .. lo+k-1: it views the table as
+    A stage transforms index bits lo .. lo+k-1: it views the rows as
     (outer, 2^k, 2^lo) and multiplies the middle axis by the 2^k x 2^k
     Sylvester matrix.  At lo = 0 that is one matmul of the (outer, 2^k)
-    view.  a itself is never written.
+    view.  Only n comes from the row length; rows never mix, since every
+    view splits each row into whole blocks.  a itself is never written.
     """
-    n = a.size.bit_length() - 1
+    n = a.shape[-1].bit_length() - 1
     k = min(RADIX_BITS, n)
-    a = a.reshape(-1, 1 << k) @ _SYLVESTER[k]
+    out = a.reshape(-1, 1 << k)
+    if a.ndim > 1 and out.shape[0] == 1:
+        # numpy multiplies a lone row (n <= 4) on its vector path, whose sums
+        # differ from the matrix path's by ulps: so that a row's transform
+        # does not depend on how many rows share its call, pad it to two
+        return _wht(np.concatenate((a, a)))[:1]
+    out = out @ _SYLVESTER[k]
     lo = k
     while lo < n:
         k = min(RADIX_BITS, n - lo)
-        a = _SYLVESTER[k] @ a.reshape(-1, 1 << k, 1 << lo)
+        out = _SYLVESTER[k] @ out.reshape(-1, 1 << k, 1 << lo)
         lo += k
-    return a.reshape(-1)
+    return out.reshape(a.shape)
 
 
 def _as_table(ambient: Ambient, values) -> np.ndarray:

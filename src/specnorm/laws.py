@@ -5,10 +5,27 @@ Each check returns a LawReport.  It passes when it ran at least one trial
 and none failed, and any counterexample replays deterministically from
 (law_id, n, trials, seed).
 Margins are (bound - achieved), so nonnegative is healthy.
+
+The sampled checks approx-hom, power-bound, bogolyubov, lemma13 and
+plunnecke run in blocks of max(1, TRIAL_BLOCK_ENTRIES >> n) trials.  Each
+trial draws its inputs, in trial order, from its own rng_for(seed, t)
+stream, so a trial's inputs do not depend on its block.  The block's
+tables are stacked into one (block, 2^n) array, and each transform is one
+fourier._wht call on all its rows.  Work that depends on each trial's own
+subgroup (the coset folds and the support level) stays one trial at a
+time, and the per-trial bounds are computed on Python floats (.tolist()),
+so each margin is the same float as one trial's scalar arithmetic gives.
+From n = 5 on, a row's transform is bit for bit the 1-D one, so a margin
+does not depend on the block size.  TRIAL_BLOCK_ENTRIES = 2^15 is sized
+by peak RSS: on the perfbench decompose-laws workload it peaked at
+42.3-42.4 MB, as the per-trial loops did, where blocks of 2^16 entries
+peaked at 43.4-43.8 MB and of 2^18 at 51.4 MB, for no clear gain in
+speed (BENCH_11.json).
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import time
@@ -17,20 +34,23 @@ from statistics import median
 
 import numpy as np
 
-from . import spectral
+from . import fourier, spectral
 from .additive import (
     PointSet,
+    _convolutions,
+    _doubling,
+    _level_sets,
+    _nu4s,
+    _spec_sets,
+    _spectra,
+    _sumsets,
     bogolyubov_subgroup,
     is_arithmetically_connected,
-    iterated,
     nu4,
-    s_eta,
-    set_convolution,
     set_stats,
     spec_set,
 )
 from .decompose import decompose, trivial_expr
-from .fourier import RealFn, lp_norm
 # a module name of its own, so that tests can swap in a faulty matrix
 from .fourier import sylvester as _hadamard
 from .generate import (
@@ -43,11 +63,8 @@ from .gf2 import Ambient, rref_span
 from .spectral import (
     MAX_PD_DEGREE,
     a_norm,
-    approx_hom_defect,
     pd_eval,
-    psi,
     round_to_int,
-    spectral_support_level,
 )
 
 
@@ -111,6 +128,7 @@ def _finite_or_none(v):
 
 
 def _timed(fn):
+    @functools.wraps(fn)
     def wrapper(*args, **kwargs):
         t0 = time.perf_counter()
         rep = fn(*args, **kwargs)
@@ -152,6 +170,8 @@ LEVEL_SLACK = 1e-12
 CHANG_RHO = 0.25
 
 _TINY_NORM_BLOCK = 512  # masks per block; see check_tiny_norm
+# table entries per block of sampled trials; see the module docstring
+TRIAL_BLOCK_ENTRIES = 2**15
 
 
 def _subsets(N: int, k: int) -> np.ndarray:
@@ -257,42 +277,87 @@ def check_pd(d_max: int = 4, points: int = 10**4) -> LawReport:
     return rep
 
 
+def _sampled(law_id: str, n: int, trials: int, seed: int, block_margins) -> LawReport:
+    """Run the trials in blocks of max(1, TRIAL_BLOCK_ENTRIES >> n), in
+    order.  block_margins(block) gets a block's range of trial indices and
+    returns (margins, extra): one margin per trial, and extra(i), the keys
+    that trial i's witness adds to its trial, seed and n."""
+    rep = LawReport(law_id=law_id)
+    size = max(1, TRIAL_BLOCK_ENTRIES >> n)
+    for lo in range(0, trials, size):
+        block = range(lo, min(lo + size, trials))
+        margins, extra = block_margins(block)
+        rep.record_many(margins, lambda i: {
+            "trial": block[i], "seed": seed, "n": n, **extra(i)})
+    return rep
+
+
+def _a_norms(tables: np.ndarray) -> list[float]:
+    """a_norm of each row, with spectral.a_norm's operations."""
+    return np.abs(fourier._wht(tables) / tables.shape[-1]).sum(axis=-1).tolist()
+
+
+def _draw_reals(ambient: Ambient, seed: int, block: range, tables: int):
+    """Per trial: the given number of uniform [-1, 1) tables, then a random
+    subgroup, from the trial's own stream.  Returns the tables stacked
+    ((tables, len(block), 2^n)) and the subgroups."""
+    out = np.empty((tables, len(block), ambient.size))
+    Hs = []
+    for i, t in enumerate(block):
+        rng = rng_for(seed, t)
+        for table in out:
+            table[i] = rng.uniform(-1, 1, ambient.size)
+        Hs.append(random_subgroup(ambient, rng))
+    return out, Hs
+
+
 @_timed
 def check_approx_hom(n: int, trials: int, seed: int) -> LawReport:
-    """defect(f, g, H) <= eta * a_norm(g) with measured eta."""
-    rep = LawReport(law_id="approx-hom")
+    """defect(f, g, H) <= eta * a_norm(g) with measured eta: the defect is
+    a_norm(psi_H(fg) - psi_H(f) psi_H(g)), eta the support level of f on H."""
     ambient = Ambient(n)
-    for t in range(trials):
-        rng = rng_for(seed, t)
-        f = RealFn(ambient, rng.uniform(-1, 1, ambient.size))
-        g = RealFn(ambient, rng.uniform(-1, 1, ambient.size))
-        H = random_subgroup(ambient, rng)
-        eta, _ = spectral_support_level(f, H)
-        defect = approx_hom_defect(f, g, H)
-        bound = eta * a_norm(g) + NORM_BOUND_SLACK
-        rep.record(bound - defect, {"trial": t, "seed": seed, "n": n})
-    return rep
+
+    def block_margins(block):
+        (F, G), Hs = _draw_reals(ambient, seed, block, 2)
+        abs_f = np.abs(fourier._wht(F) / ambient.size)
+        norm_g = _a_norms(G)
+        D = np.empty_like(F)
+        for i, H in enumerate(Hs):
+            fg, pf, pg = spectral._coset_sums(np.stack((F[i] * G[i], F[i], G[i])), H) / H.size
+            D[i] = fg - pf * pg
+        defect = _a_norms(D)
+        return [
+            spectral._descent(abs_f[i], H, math.inf).worst_mass * norm_g[i]
+            + NORM_BOUND_SLACK - defect[i]
+            for i, H in enumerate(Hs)
+        ], lambda i: {}
+
+    return _sampled("approx-hom", n, trials, seed, block_margins)
 
 
 @_timed
 def check_power_bound(n: int, trials: int, seed: int) -> LawReport:
     """a_norm(psi(f^k) - (psi f)^k) <= eta (k-1) M^(k-1), k in 2..5."""
-    rep = LawReport(law_id="power-bound")
     ambient = Ambient(n)
-    for t in range(trials):
-        rng = rng_for(seed, t)
-        k = 2 + t % 4
-        f = RealFn(ambient, rng.uniform(-1, 1, ambient.size))
-        H = random_subgroup(ambient, rng)
-        eta, _ = spectral_support_level(f, H)
-        m_norm = a_norm(f)
-        fk = RealFn(ambient, f.values**k)
-        pf = psi(f, H)
-        pfk = RealFn(ambient, pf.values**k)
-        lhs = a_norm(psi(fk, H) - pfk)
-        bound = eta * (k - 1) * m_norm ** (k - 1) + NORM_BOUND_SLACK
-        rep.record(bound - lhs, {"trial": t, "seed": seed, "n": n, "k": k})
-    return rep
+
+    def block_margins(block):
+        (F,), Hs = _draw_reals(ambient, seed, block, 1)
+        abs_f = np.abs(fourier._wht(F) / ambient.size)
+        m_norm = abs_f.sum(axis=-1).tolist()
+        ks = [2 + t % 4 for t in block]
+        D = np.empty_like(F)
+        for i, H in enumerate(Hs):
+            pf, pfk = spectral._coset_sums(np.stack((F[i], F[i]**ks[i])), H) / H.size
+            D[i] = pfk - pf**ks[i]
+        lhs = _a_norms(D)
+        return [
+            spectral._descent(abs_f[i], H, math.inf).worst_mass * (ks[i] - 1)
+            * m_norm[i] ** (ks[i] - 1)
+            + NORM_BOUND_SLACK - lhs[i]
+            for i, H in enumerate(Hs)
+        ], lambda i: {"k": ks[i]}
+
+    return _sampled("power-bound", n, trials, seed, block_margins)
 
 
 @_timed
@@ -302,55 +367,77 @@ def check_bogolyubov(
     """S_delta + Spec_rho(A)^perp is inside S_(delta-eps), rho = sqrt(eps/2)."""
     if not 0 < epsilon < delta <= 1:
         raise ValueError("need 0 < epsilon < delta <= 1")
-    rep = LawReport(law_id="bogolyubov")
     ambient = Ambient(n)
     rho = math.sqrt(epsilon / 2.0)
-    for t in range(trials):
-        rng = rng_for(seed, t)
-        A = _random_set(ambient, rng)
-        H = bogolyubov_subgroup(A, rho)
-        Sd = s_eta(A, delta)
-        Sde = s_eta(A, delta - epsilon)
-        # Sd + H: the points whose H-coset meets Sd
-        shifted = psi(Sd.indicator(), H).values > 0
-        ok = bool(np.all(Sde.members | ~shifted))
-        rep.record(0.0 if ok else -1.0, {"trial": t, "seed": seed, "n": n})
-    return rep
+
+    def block_margins(block):
+        A = np.array([_random_set(ambient, rng_for(seed, t)).members for t in block])
+        spec = _spectra(A)
+        alphas = (np.count_nonzero(A, axis=-1) / ambient.size).tolist()
+        large = _spec_sets(spec, rho, alphas)
+        nu = _nu4s(spec)
+        Sd = _level_sets(nu, [delta] * len(block), alphas)
+        Sde = _level_sets(nu, [delta - epsilon] * len(block), alphas)
+        margins = []
+        for i in range(len(block)):
+            # H = Spec_rho(A)^perp; Sd + H: the points whose H-coset meets Sd
+            H = rref_span(ambient, np.flatnonzero(large[i])).annihilator()
+            shifted = spectral._coset_sums(Sd[i].astype(np.float64), H) > 0
+            margins.append(0.0 if np.all(Sde[i] | ~shifted) else -1.0)
+        return margins, lambda i: {}
+
+    return _sampled("bogolyubov", n, trials, seed, block_margins)
 
 
 @_timed
 def check_lemma13(n: int, trials: int, seed: int) -> LawReport:
     """With eta = 1/(2K^4): density of S_eta >= alpha/2 and
     sup of 1_A * 1_(S_eta) >= eta * alpha / 2."""
-    rep = LawReport(law_id="lemma13")
     ambient = Ambient(n)
-    for t in range(trials):
-        rng = rng_for(seed, t)
-        A = PointSet(ambient, random_structured_set_mask(ambient, rng))
-        stats = set_stats(A)
-        K = stats.doubling
-        eta = 1.0 / (2.0 * K**4)
-        S = s_eta(A, eta)
-        m1 = S.density - stats.alpha / 2.0 + DENSITY_SLACK
-        sup = lp_norm(set_convolution(A, S), math.inf)
-        m2 = sup - eta * stats.alpha / 2.0 + DENSITY_SLACK
-        rep.record(min(m1, m2), {"trial": t, "seed": seed, "n": n, "K": K})
-    return rep
+    N = ambient.size
+
+    def block_margins(block):
+        A = np.array([random_structured_set_mask(ambient, rng_for(seed, t)) for t in block],
+                     dtype=bool)
+        spec = _spectra(A)
+        cards = np.count_nonzero(A, axis=-1).tolist()
+        cards_2a = np.count_nonzero(_sumsets(spec, spec), axis=-1).tolist()
+        Ks = [_doubling(c2, c) for c2, c in zip(cards_2a, cards)]
+        alphas = [c / N for c in cards]
+        etas = [1.0 / (2.0 * K**4) for K in Ks]
+        S = _level_sets(_nu4s(spec), etas, alphas)
+        dens_s = (np.count_nonzero(S, axis=-1) / N).tolist()
+        sups = np.abs(_convolutions(spec, _spectra(S))).max(axis=-1).tolist()
+        return [
+            min(dens_s[i] - alphas[i] / 2.0 + DENSITY_SLACK,
+                sups[i] - etas[i] * alphas[i] / 2.0 + DENSITY_SLACK)
+            for i in range(len(block))
+        ], lambda i: {"K": Ks[i]}
+
+    return _sampled("lemma13", n, trials, seed, block_margins)
 
 
 @_timed
 def check_plunnecke_instances(n: int, trials: int, seed: int) -> LawReport:
-    """Empirical instances of E 1_(4A) <= K^4 alpha."""
-    rep = LawReport(law_id="plunnecke")
+    """Empirical instances of E 1_(4A) <= K^4 alpha.  4A = 2A + 2A, so a
+    trial makes four transforms: A's spectrum, 2A, 2A's spectrum and 4A."""
     ambient = Ambient(n)
-    for t in range(trials):
-        rng = rng_for(seed, t)
-        A = _random_set(ambient, rng)
-        stats = set_stats(A)
-        four = iterated(A, 4)
-        margin = stats.doubling**4 * stats.alpha - four.density + DENSITY_SLACK
-        rep.record(margin, {"trial": t, "seed": seed, "n": n, "K": stats.doubling})
-    return rep
+    N = ambient.size
+
+    def block_margins(block):
+        A = np.array([_random_set(ambient, rng_for(seed, t)).members for t in block])
+        spec = _spectra(A)
+        two = _sumsets(spec, spec)
+        spec_2a = _spectra(two)
+        cards = np.count_nonzero(A, axis=-1).tolist()
+        cards_2a = np.count_nonzero(two, axis=-1).tolist()
+        dens_4a = (np.count_nonzero(_sumsets(spec_2a, spec_2a), axis=-1) / N).tolist()
+        Ks = [_doubling(c2, c) for c2, c in zip(cards_2a, cards)]
+        return [
+            Ks[i]**4 * (cards[i] / N) - dens_4a[i] + DENSITY_SLACK for i in range(len(block))
+        ], lambda i: {"K": Ks[i]}
+
+    return _sampled("plunnecke", n, trials, seed, block_margins)
 
 
 def _level_set(nu: np.ndarray, level: float, alpha: float) -> np.ndarray:

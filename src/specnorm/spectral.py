@@ -71,7 +71,8 @@ def psi(f: RealFn, H: Subgroup) -> RealFn:
 
 
 def _coset_sums(table: np.ndarray, S: Subgroup) -> np.ndarray:
-    """out[x] = sum of table over the coset x + S, for every x.
+    """out[..., x] = sum of table[..., :] over the coset x + S, for every x
+    and for a (2^n,) table or each row of an (m, 2^n) stack.
 
     One XOR-gather fold per basis word: the sums over span(D, b) are
     s + s[x ^ b] for the sums s over D.  Each fold is symmetric in x and
@@ -79,9 +80,9 @@ def _coset_sums(table: np.ndarray, S: Subgroup) -> np.ndarray:
     the trivial S the result is table itself, not a copy.
     """
     out = table
-    idx = np.arange(table.size)
+    idx = np.arange(table.shape[-1])
     for b in S.basis:
-        out = out + out[idx ^ b]
+        out = out + out.take(idx ^ b, axis=-1)
     return out
 
 
@@ -133,9 +134,16 @@ def find_spectral_support(f: RealFn, H: Subgroup, eta: float) -> SupportCertific
     """
     if eta <= 0:
         raise ValueError("eta must be positive")
-    ambient = f.ambient
+    return _descent(np.abs(wht(f).coeffs), H, eta)
+
+
+def _descent(sums: np.ndarray, H: Subgroup, eta: float) -> SupportCertificate:
+    """find_spectral_support on |fhat|, passed as the table sums.  Every
+    fold rebinds sums, so a temporary passed in is freed at the first
+    fold, not held for the whole descent (8 MiB at n = 20)."""
+    ambient = H.ambient
     dual = H.annihilator()
-    sums = _coset_sums(np.abs(wht(f).coeffs), dual)
+    sums = _coset_sums(sums, dual)
     idx = np.arange(ambient.size)
     steps = 0
     while True:

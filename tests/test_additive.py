@@ -6,7 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from specnorm import additive
 from specnorm.additive import (
+    _LEVEL_GUARD,
     SPEC_SET_SLACK,
     PointSet,
     SearchBudgetExceeded,
@@ -129,6 +131,36 @@ class TestSEta:
         small = s_eta(A, 0.8)
         big = s_eta(A, 0.2)
         assert np.all(big.members | ~small.members)
+
+
+class TestLevelGuard:
+    """A nu4 value _LEVEL_GUARD * alpha^3 below the level eta * alpha^3 is
+    in the level set, and one ulp lower is out."""
+
+    @staticmethod
+    def edge(eta, alpha):
+        return eta * alpha**3 - _LEVEL_GUARD * alpha**3
+
+    def test_s_eta(self, monkeypatch):
+        a = Ambient(3)
+        A = PointSet.from_points(a, [0, 5])  # alpha = 1/4
+        eta, alpha = 0.375, A.density
+        edge = self.edge(eta, alpha)
+        nu = np.zeros(a.size)
+        nu[:3] = eta * alpha**3, edge, np.nextafter(edge, -np.inf)
+        monkeypatch.setattr(additive, "nu4", lambda S: RealFn(a, nu))
+        assert s_eta(A, eta).points() == [0, 1]
+
+    def test_rows(self):
+        # the helper behind s_eta and the blocked law checks, one level per row
+        etas, alphas = [0.375, 0.5], [0.25, 0.125]
+        nu = np.zeros((2, 8))
+        for row, eta, alpha in zip(nu, etas, alphas):
+            edge = self.edge(eta, alpha)
+            row[:3] = eta * alpha**3, edge, np.nextafter(edge, -np.inf)
+        got = additive._level_sets(nu, etas, alphas)
+        assert got[:, :3].tolist() == [[True, True, False]] * 2
+        assert not got[:, 3:].any()
 
 
 class TestSpecSet:

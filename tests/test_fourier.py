@@ -76,6 +76,29 @@ class TestKernel:
         assert np.array_equal(wht(RealFn(a, x)).coeffs, want / a.size)
 
     @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 12), st.integers(1, 40), SEEDS)
+    def test_rows_are_one_d_transforms(self, n, m, seed):
+        # bit for bit from n = 5, where every stage is a matrix product;
+        # below it a 1-D table takes numpy's vector path
+        rows = np.random.default_rng(seed).uniform(-1, 1, (m, 1 << n))
+        keep = rows.copy()
+        got = fourier._wht(rows)
+        want = np.array([fourier._wht(r) for r in rows])
+        assert got.shape == rows.shape and np.array_equal(rows, keep)
+        if n >= 5:
+            assert got.tobytes() == want.tobytes()
+        else:
+            assert np.max(np.abs(got - want)) <= 1e-12
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 12), st.integers(2, 40), SEEDS)
+    def test_row_does_not_depend_on_its_stack(self, n, m, seed):
+        rows = np.random.default_rng(seed).uniform(-1, 1, (m, 1 << n))
+        got = fourier._wht(rows)
+        for lo, hi in ((0, 1), (m - 1, m), (1, m)):
+            assert fourier._wht(rows[lo:hi]).tobytes() == got[lo:hi].tobytes()
+
+    @settings(max_examples=60, deadline=None)
     @given(SIZES, SEEDS, st.sampled_from([1e-3, 1.0, 1e6]))
     def test_reals_within_rounding_of_reference(self, n, seed, scale):
         a = Ambient(n)

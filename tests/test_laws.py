@@ -30,10 +30,24 @@ from specnorm.laws import (
     check_roundtrip,
     check_tiny_norm,
 )
-from specnorm.additive import PointSet
-from specnorm.generate import random_subgroup
-from specnorm.gf2 import trivial
-from specnorm.spectral import pd_eval
+from specnorm.additive import (
+    PointSet,
+    bogolyubov_subgroup,
+    iterated,
+    s_eta,
+    set_convolution,
+    set_stats,
+)
+from specnorm.fourier import RealFn, lp_norm
+from specnorm.generate import random_subgroup, rng_for
+from specnorm.gf2 import Ambient, trivial
+from specnorm.spectral import (
+    a_norm,
+    approx_hom_defect,
+    pd_eval,
+    psi,
+    spectral_support_level,
+)
 
 
 class TestLawReport:
@@ -307,22 +321,165 @@ class TestPdArrayPass:
         assert rep.counterexample == {"d": 0, "t": -0.5, "law": "lower"}
 
 
+def reference_check_approx_hom(n, trials, seed):
+    """check_approx_hom as the per-trial loop it ran before trial blocks."""
+    rep = LawReport(law_id="approx-hom")
+    ambient = Ambient(n)
+    for t in range(trials):
+        rng = rng_for(seed, t)
+        f = RealFn(ambient, rng.uniform(-1, 1, ambient.size))
+        g = RealFn(ambient, rng.uniform(-1, 1, ambient.size))
+        H = laws.random_subgroup(ambient, rng)
+        eta, _ = spectral_support_level(f, H)
+        defect = approx_hom_defect(f, g, H)
+        bound = eta * a_norm(g) + laws.NORM_BOUND_SLACK
+        rep.record(bound - defect, {"trial": t, "seed": seed, "n": n})
+    return rep
+
+
+def reference_check_power_bound(n, trials, seed):
+    rep = LawReport(law_id="power-bound")
+    ambient = Ambient(n)
+    for t in range(trials):
+        rng = rng_for(seed, t)
+        k = 2 + t % 4
+        f = RealFn(ambient, rng.uniform(-1, 1, ambient.size))
+        H = laws.random_subgroup(ambient, rng)
+        eta, _ = spectral_support_level(f, H)
+        m_norm = a_norm(f)
+        fk = RealFn(ambient, f.values**k)
+        pf = psi(f, H)
+        pfk = RealFn(ambient, pf.values**k)
+        lhs = a_norm(psi(fk, H) - pfk)
+        bound = eta * (k - 1) * m_norm ** (k - 1) + laws.NORM_BOUND_SLACK
+        rep.record(bound - lhs, {"trial": t, "seed": seed, "n": n, "k": k})
+    return rep
+
+
+def reference_check_bogolyubov(n, trials, seed, delta=0.5, epsilon=0.25):
+    rep = LawReport(law_id="bogolyubov")
+    ambient = Ambient(n)
+    rho = math.sqrt(epsilon / 2.0)
+    for t in range(trials):
+        rng = rng_for(seed, t)
+        A = laws._random_set(ambient, rng)
+        H = bogolyubov_subgroup(A, rho)
+        Sd = s_eta(A, delta)
+        Sde = s_eta(A, delta - epsilon)
+        shifted = psi(Sd.indicator(), H).values > 0
+        ok = bool(np.all(Sde.members | ~shifted))
+        rep.record(0.0 if ok else -1.0, {"trial": t, "seed": seed, "n": n})
+    return rep
+
+
+def reference_check_lemma13(n, trials, seed):
+    rep = LawReport(law_id="lemma13")
+    ambient = Ambient(n)
+    for t in range(trials):
+        rng = rng_for(seed, t)
+        A = PointSet(ambient, laws.random_structured_set_mask(ambient, rng))
+        stats = set_stats(A)
+        K = stats.doubling
+        eta = 1.0 / (2.0 * K**4)
+        S = s_eta(A, eta)
+        m1 = S.density - stats.alpha / 2.0 + laws.DENSITY_SLACK
+        sup = lp_norm(set_convolution(A, S), math.inf)
+        m2 = sup - eta * stats.alpha / 2.0 + laws.DENSITY_SLACK
+        rep.record(min(m1, m2), {"trial": t, "seed": seed, "n": n, "K": K})
+    return rep
+
+
+def reference_check_plunnecke_instances(n, trials, seed):
+    rep = LawReport(law_id="plunnecke")
+    ambient = Ambient(n)
+    for t in range(trials):
+        rng = rng_for(seed, t)
+        A = laws._random_set(ambient, rng)
+        stats = set_stats(A)
+        four = iterated(A, 4)
+        margin = stats.doubling**4 * stats.alpha - four.density + laws.DENSITY_SLACK
+        rep.record(margin, {"trial": t, "seed": seed, "n": n, "K": stats.doubling})
+    return rep
+
+
+BLOCKED = {
+    "approx-hom": (check_approx_hom, reference_check_approx_hom),
+    "power-bound": (check_power_bound, reference_check_power_bound),
+    "bogolyubov": (check_bogolyubov, reference_check_bogolyubov),
+    "lemma13": (check_lemma13, reference_check_lemma13),
+    "plunnecke": (check_plunnecke_instances, reference_check_plunnecke_instances),
+}
+
+
+def _fields(rep):
+    return (rep.law_id, rep.trials, rep.failures, repr(rep.worst_margin),
+            rep.counterexample, rep.notes)
+
+
+def _recorded(call):
+    """call()'s report and every (margin, witness) it records, in order,
+    through record or record_many."""
+    out = []
+    record, record_many = LawReport.record, LawReport.record_many
+
+    def capture_one(self, m, witness):
+        out.append((m, witness))
+        record(self, m, witness)
+
+    def capture_many(self, m, witness):
+        out.extend(zip(np.asarray(m, dtype=np.float64).tolist(), map(witness, range(len(m)))))
+        record_many(self, m, witness)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(LawReport, "record", capture_one)
+        mp.setattr(LawReport, "record_many", capture_many)
+        rep = call()
+    return _fields(rep), repr(out)
+
+
+class TestTrialBlocks:
+    """The sampled checks run in blocks of trials, one _wht call per block
+    per transform.  Each must report what its per-trial loop reported."""
+
+    @pytest.mark.parametrize("law", sorted(BLOCKED))
+    @settings(max_examples=12, deadline=None)
+    @given(n=st.integers(5, 9), trials=st.integers(1, 40), seed=st.integers(0, 2**32 - 1),
+           block_bits=st.sampled_from([8, 11, 15]))
+    def test_equals_per_trial_reference(self, law, n, trials, seed, block_bits):
+        check, reference = BLOCKED[law]
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(laws, "TRIAL_BLOCK_ENTRIES", 2**block_bits)
+            got = _recorded(lambda: check(n, trials, seed))
+        assert got == _recorded(lambda: reference(n, trials, seed))
+
+    @pytest.mark.parametrize("law", sorted(BLOCKED))
+    @pytest.mark.parametrize("n", range(2, 7))
+    def test_trial_alone_equals_trial_in_block(self, monkeypatch, law, n):
+        check = BLOCKED[law][0]
+        in_block = _recorded(lambda: check(n, 24, 5))
+        monkeypatch.setattr(laws, "TRIAL_BLOCK_ENTRIES", 0)  # one trial per block
+        assert _recorded(lambda: check(n, 24, 5)) == in_block
+
+
 class TestTransformsPerTrial:
-    """Each PointSet transforms its indicator once and computes nu4 once.
-    plunnecke: A's spectrum, 2A twice (set_stats, then the doubling), 2A's
-    spectrum and 4A; bogolyubov: A's spectrum and one nu4 for both level
-    sets; lemma13: A's spectrum, 2A, nu4, S's spectrum and 1_A * 1_S.
-    A missed cache shows as extra transforms."""
+    """Each transform is one _wht call per block over all its trials' rows.
+    Rows per trial: plunnecke 4 (A's spectrum, 2A, 2A's spectrum and 4A);
+    bogolyubov 2 (A's spectrum and one nu4 for both level sets); lemma13 5
+    (A's spectrum, 2A, nu4, S's spectrum and 1_A * 1_S); approx-hom 3 (f, g
+    and the defect); power-bound 2 (f and the defect)."""
 
     @pytest.mark.parametrize("check, per_trial", [
-        (check_plunnecke_instances, 5), (check_bogolyubov, 2), (check_lemma13, 5),
-    ], ids=["plunnecke", "bogolyubov", "lemma13"])
+        (check_plunnecke_instances, 4), (check_bogolyubov, 2), (check_lemma13, 5),
+        (check_approx_hom, 3), (check_power_bound, 2),
+    ], ids=["plunnecke", "bogolyubov", "lemma13", "approx-hom", "power-bound"])
     def test_count(self, monkeypatch, check, per_trial):
         calls = []
         kernel = fourier._wht
-        monkeypatch.setattr(fourier, "_wht", lambda a: calls.append(a.size) or kernel(a))
+        monkeypatch.setattr(fourier, "_wht", lambda a: calls.append(a.shape) or kernel(a))
+        # 2^8 entries make blocks of 4 trials at n = 6: 7 trials are 2 blocks
+        monkeypatch.setattr(laws, "TRIAL_BLOCK_ENTRIES", 2**8)
         assert check(6, 7, 0).passed
-        assert len(calls) == 7 * per_trial
+        assert calls == [(4, 64)] * per_trial + [(3, 64)] * per_trial
 
 
 class TestNamedSlacks:
