@@ -4,6 +4,10 @@ functions, and random subgroups.
 
 All sampling goes through numpy's default_rng; streams are derived
 from (seed, index) tuples so concurrent trials stay reproducible.
+A subgroup drawn with a least dimension is redrawn until it has it; a
+draw of too few generators is rejected before its rank reduction, which
+skips work but draws the same numbers, so every stream and every drawn
+set is what it would be without that shortcut.
 """
 
 from __future__ import annotations
@@ -18,19 +22,32 @@ def rng_for(seed: int, index: int = 0) -> np.random.Generator:
     return np.random.default_rng([int(seed), int(index)])
 
 
+def _generators(ambient: Ambient, rng) -> np.ndarray:
+    """d uniform words, d uniform in 0..n."""
+    d = int(rng.integers(0, ambient.n + 1))
+    return rng.integers(0, ambient.size, size=d)
+
+
 def random_subgroup(ambient: Ambient, rng) -> Subgroup:
     """The span of d uniform words, d uniform in 0..n."""
-    d = int(rng.integers(0, ambient.n + 1))
-    gens = rng.integers(0, ambient.size, size=d)
-    return rref_span(ambient, gens)
+    return rref_span(ambient, _generators(ambient, rng))
+
+
+def _random_subgroup_of_dim(ambient: Ambient, rng, min_dim: int) -> Subgroup:
+    """random_subgroup, drawn again until its dimension is at least min_dim.
+    Fewer than min_dim words span less, so such a draw is rejected before
+    its rank reduction; the stream is the same either way."""
+    while True:
+        gens = _generators(ambient, rng)
+        if len(gens) >= min_dim:
+            H = rref_span(ambient, gens)
+            if H.dim >= min_dim:
+                return H
 
 
 def random_flat(ambient: Ambient, rng, min_dim=0) -> tuple[Subgroup, int]:
     """A random coset t + H; returns (H, t)."""
-    while True:
-        H = random_subgroup(ambient, rng)
-        if H.dim >= min_dim:
-            break
+    H = _random_subgroup_of_dim(ambient, rng, min_dim)
     t = int(rng.integers(0, ambient.size))
     return H, t
 
@@ -90,17 +107,16 @@ def gen_random_boolean(ambient: Ambient, rng) -> RealFn:
 
 def random_structured_set_mask(ambient: Ambient, rng) -> np.ndarray:
     """Subgroup plus/minus a few noise points: the small-doubling regime."""
-    H = random_subgroup(ambient, rng)
-    while H.dim < max(1, ambient.n - 4):
-        H = random_subgroup(ambient, rng)
-    mask = H.mask().copy()
+    H = _random_subgroup_of_dim(ambient, rng, max(1, ambient.n - 4))
+    elems = H.element_array()
+    mask = np.zeros(ambient.size, dtype=bool)
+    mask[elems] = True
     noise = int(rng.integers(0, max(1, H.size // 8) + 1))
     if noise:
         adds = rng.integers(0, ambient.size, size=noise)
         mask[adds] = True
     drops = int(rng.integers(0, max(1, H.size // 8) + 1))
     if drops:
-        elems = H.element_array()
         victims = rng.choice(elems, size=min(drops, len(elems) - 1), replace=False)
         mask[victims[victims != 0]] = False
         mask[0] = True  # keep it nonempty and anchored

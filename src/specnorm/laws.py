@@ -26,7 +26,6 @@ speed (BENCH_11.json).
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 import time
 from dataclasses import dataclass, field
@@ -169,14 +168,66 @@ LEVEL_SLACK = 1e-12
 # rho of the large spectrum in check_chang_report
 CHANG_RHO = 0.25
 
-_TINY_NORM_BLOCK = 512  # masks per block; see check_tiny_norm
+# masks per chunk of the tiny-norm sweep, a multiple of the 64 masks a
+# bit-plane word holds; sized by time and peak RSS, see check_tiny_norm
+_TINY_NORM_CHUNK = 2048
 # table entries per block of sampled trials; see the module docstring
 TRIAL_BLOCK_ENTRIES = 2**15
 
 
-def _subsets(N: int, k: int) -> np.ndarray:
-    """The k-subsets of range(N) in lexicographic order, as k index rows."""
-    return np.array(list(itertools.combinations(range(N), k)), dtype=np.intp).reshape(-1, k).T
+@functools.cache
+def _sweep_index(N: int) -> tuple:
+    """(tests, pairs, triples, rows, starts, weights) for the tiny-norm
+    sweep on N points: its closure tests and how to read off a test's
+    position.
+
+    tests: index rows (a, b, c, d) into the 2N rows [translated tables;
+    tables], one column per test "a, b and c in, d out".  The first
+    `pairs` columns test the translate, one per pair a < b, with c = 0
+    (in every translate) and d = a^b.  The rest test the table, one per
+    triple p < q < r, with d = p^q^r.  Pairs and triples are each in
+    lexicographic order; triples holds them as rows (p, q, r, p^q^r).
+    rows, starts, weights: for each bit b of the triple indices t, the t
+    with bit b set (concatenated, b's run starting at starts[b]) and 2^b.
+
+    Read-only, since every call shares them.
+    """
+    x = np.arange(N)
+    lt = x[:, None] < x
+    pa, pb = lt.nonzero()
+    tp, tq, tr = (lt[:, :, None] & lt).nonzero()
+    P, T = pa.size, tp.size
+    tests = np.empty((4, P + T), dtype=np.intp)
+    tests[0, :P], tests[1, :P], tests[2, :P], tests[3, :P] = pa, pb, 0, pa ^ pb
+    tests[:, P:] = tp, tq, tr, tp ^ tq ^ tr
+    triples = tests[:, P:].copy()
+    tests[:, P:] += N
+    bits = np.arange(max(T - 1, 0).bit_length())
+    which, rows = ((np.arange(T) >> bits[:, None]) & 1).nonzero()
+    out = (tests, P, triples, rows, np.searchsorted(which, bits), 1 << bits)
+    for a in out:
+        if isinstance(a, np.ndarray):
+            a.flags.writeable = False
+    return out
+
+
+def _bit_planes(f: np.ndarray) -> np.ndarray:
+    """An (N, m) boolean array as (N, ceil(m / 64)) uint64 words: bit j of
+    word k in row x is f[x, 64 k + j]."""
+    N, m = f.shape
+    planes = np.zeros((N, -(-m // 64) * 8), dtype=np.uint8)
+    planes[:, :-(-m // 8)] = np.packbits(f, axis=1, bitorder="little")
+    return planes.view(np.uint64)
+
+
+def _unpack(words: np.ndarray, count: int | None = None) -> np.ndarray:
+    """The bits of each row of _bit_planes words, the first count of them
+    (all if None), as booleans."""
+    return np.unpackbits(words.view(np.uint8), axis=-1, count=count, bitorder="little").view(bool)
+
+
+# the certificate phi = N (1_p + 1_q + 1_r - 1_(p^q^r)) at p, q, r, p^q^r, over N
+_PHI = np.array([1.0, 1.0, 1.0, -1.0])
 
 
 def _tiny_norm_verdicts(masks: np.ndarray, had: np.ndarray) -> tuple[np.ndarray, float]:
@@ -184,43 +235,60 @@ def _tiny_norm_verdicts(masks: np.ndarray, had: np.ndarray) -> tuple[np.ndarray,
     mask is set, for nonzero masks and the N x N transform matrix had:
     (ok per mask, smallest non-coset anorm)."""
     N = had.shape[0]
-    xs = np.arange(N)
-    pa, pb = _subsets(N, 2)
-    tp, tq, tr = _subsets(N, 3)
+    xs = np.arange(N)[:, None]
+    (a, b, c, d), pairs, triples, rows, starts, weights = _sweep_index(N)
     ok = np.empty(masks.size, dtype=bool)
     min_noncoset = math.inf
+    sup = None
     # tables are stored transposed, one row per point x and one column per
-    # mask, so every gather below copies whole rows
-    for lo in range(0, masks.size, _TINY_NORM_BLOCK):
-        block = masks[lo:lo + _TINY_NORM_BLOCK]
-        f = ((block >> xs[:, None]) & 1).astype(bool)
-        # coset: translate by the smallest member, then xor-closure over pairs
-        f0 = f[xs[:, None] ^ np.argmax(f, axis=0), np.arange(block.size)]
-        is_coset = ~(f0[pa] & f0[pb] & ~f0[pa ^ pb]).any(axis=0)
-        # parallelogram violation: p < q < r in S with p^q^r outside S;
-        # symmetric, so the sorted triples in lexicographic order suffice
-        bad = f[tp] & f[tq] & f[tr] & ~f[tp ^ tq ^ tr]
-        closed = ~bad.any(axis=0)
-        an = np.abs(had.T @ f.astype(np.float64) / N).sum(axis=0)
-        good = (is_coset == closed) & (is_coset == (an <= 1 + TINY_NORM_TOL))
-        nc = np.flatnonzero(~is_coset)
+    # mask; the rows pack into words of 64 masks, so every test below
+    # handles 64 masks per word operation
+    for lo in range(0, masks.size, _TINY_NORM_CHUNK):
+        chunk = masks[lo:lo + _TINY_NORM_CHUNK]
+        m = chunk.size
+        f = ((chunk >> xs) & 1).astype(bool)
+        # the tables translated by their smallest members (lowest set
+        # bits), then the tables
+        low = np.bitwise_count((chunk & -chunk) - 1)
+        f0 = ((chunk >> (xs ^ low)) & 1).astype(bool)
+        planes = _bit_planes(np.concatenate((f0, f)))
+        # the closure tests "a, b and c in, d out": a failed pair test means
+        # the translate is not closed under xor, so S is not a coset; a
+        # failed triple test is a parallelogram violation, p < q < r in S
+        # with p^q^r outside S (symmetric, so sorted triples suffice)
+        failed = planes[a]
+        failed &= planes[b]
+        failed &= planes[c]
+        failed &= ~planes[d]
+        bad = failed[pairs:]
+        noncoset, unclosed = _unpack(np.array((
+            np.bitwise_or.reduce(failed[:pairs]), np.bitwise_or.reduce(bad))), m)
+        an = had.T @ f.astype(np.float64)
+        an /= N
+        an = np.abs(an, out=an).sum(axis=0)
+        good = (noncoset == unclosed) & (noncoset != (an <= 1 + TINY_NORM_TOL))
+        nc = noncoset.nonzero()[0]
         if nc.size:
             min_noncoset = min(min_noncoset, float(an[nc].min()))
-            # phi = N (1_p + 1_q + 1_r - 1_(p^q^r)) from the first violating
-            # parallelogram: <f, phi> / N and sup |phi @ had / N|
-            w = np.argmax(bad[:, nc], axis=0)
-            p, q, r = tp[w], tq[w], tr[w]
-            s = p ^ q ^ r
-            fv = f[:, nc].astype(np.float64)
-            k = np.arange(nc.size)
-            inner = fv[p, k] + fv[q, k] + fv[r, k] - fv[s, k]
-            sup = np.abs(had[p] + had[q] + had[r] - had[s]).max(axis=1)
+            # the certificate from each mask's first violating triple, the
+            # row t where its bit of the running OR turns on (0 if none):
+            # bit b of t is the OR of the turn-on bits over the rows with bit b
+            first = np.bitwise_or.accumulate(bad)
+            first[1:] &= ~first[:-1]
+            w = (weights @ _unpack(np.bitwise_or.reduceat(first[rows], starts), m))[nc]
+            # <f, phi> / N from the table at p, q, r and p^q^r
+            inner = _PHI @ f[triples[:, w], nc].astype(np.float64)
+            if sup is None:
+                # sup |phi @ had / N| depends on the triple alone; at
+                # n = 1 there are no triples and no non-cosets
+                tp, tq, tr, ts = triples
+                sup = np.abs(had[tp] + had[tq] + had[tr] - had[ts]).max(axis=1)
             good[nc] &= (
                 (an[nc] >= 1.5 - TINY_NORM_TOL)
                 & (np.abs(inner - 3.0) <= TINY_NORM_TOL)
-                & (np.abs(sup - 2.0) <= TINY_NORM_TOL)
+                & (np.abs(sup[w] - 2.0) <= TINY_NORM_TOL)
             )
-        ok[lo:lo + block.size] = good
+        ok[lo:lo + m] = good
     return ok, min_noncoset
 
 
@@ -230,11 +298,18 @@ def check_tiny_norm(n: int) -> LawReport:
     iff parallelogram-closed, and otherwise a_norm >= 3/2, with the
     four-point certificate giving <f, phi> = 3 and ||phi-hat||_inf = 2.
 
-    The 2^(2^n) - 1 tables are tested as array passes over blocks of 512
-    masks.  The largest temporaries are the (C(2^n, 3), block) boolean
-    triple tests, 287 KB each at n = 4.  The block is kept small for the
-    peak RSS: run alone, the n = 4 sweep peaked at 32.9 MB with 512-mask
-    blocks and at 41.2 MB with 4096-mask blocks, at no gain in speed.
+    The 2^(2^n) - 1 tables are tested in chunks of _TINY_NORM_CHUNK = 2048
+    masks, stored as bit planes: the table's value at each point x packs
+    into 2048 / 64 uint64 words, so each closure test handles 64 masks
+    per word operation.  The largest temporaries at n = 4 are the
+    C(16, 2) + C(16, 3) = 680 closure tests (174 KB) and the float tables
+    behind the anorms (256 KB), both formed in place.  Run alone, the
+    n = 4 sweep takes 36-38 ms at a peak RSS of 34.2 MB (the boolean pass
+    over 512-mask blocks it replaced: 0.15-0.17 s at 33.5 MB), against
+    42-45 ms at 33.9 MB with 1024-mask chunks and 32-36 ms at 35.0 MB with
+    4096.  On the perfbench decompose-laws workload 2048-mask chunks ran
+    more ops per second than 1024 and as many as 3072 or 4096, which
+    raised its peak RSS further (BENCH_12.json).
     """
     Ambient(n)
     if n > 4:

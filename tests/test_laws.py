@@ -2,7 +2,9 @@
 test_acceptance.py; here we just want every check exercised on each push.
 """
 
+import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -216,9 +218,63 @@ def _reference_tiny_norm(n: int) -> LawReport:
     return rep
 
 
+def _reference_block_verdicts(masks: np.ndarray, had: np.ndarray) -> tuple[np.ndarray, float]:
+    """_tiny_norm_verdicts as a pass over blocks of 512 masks with one
+    boolean per (test, mask), as it was before the bit-plane pass (1e-9
+    is TINY_NORM_TOL)."""
+    def subsets(k):
+        return np.array(list(itertools.combinations(range(N), k)), dtype=np.intp).reshape(-1, k).T
+
+    N = had.shape[0]
+    xs = np.arange(N)
+    pa, pb = subsets(2)
+    tp, tq, tr = subsets(3)
+    ok = np.empty(masks.size, dtype=bool)
+    min_noncoset = math.inf
+    for lo in range(0, masks.size, 512):
+        block = masks[lo:lo + 512]
+        f = ((block >> xs[:, None]) & 1).astype(bool)
+        f0 = f[xs[:, None] ^ np.argmax(f, axis=0), np.arange(block.size)]
+        is_coset = ~(f0[pa] & f0[pb] & ~f0[pa ^ pb]).any(axis=0)
+        bad = f[tp] & f[tq] & f[tr] & ~f[tp ^ tq ^ tr]
+        closed = ~bad.any(axis=0)
+        an = np.abs(had.T @ f.astype(np.float64) / N).sum(axis=0)
+        good = (is_coset == closed) & (is_coset == (an <= 1 + 1e-9))
+        nc = np.flatnonzero(~is_coset)
+        if nc.size:
+            min_noncoset = min(min_noncoset, float(an[nc].min()))
+            w = np.argmax(bad[:, nc], axis=0)
+            p, q, r = tp[w], tq[w], tr[w]
+            s = p ^ q ^ r
+            fv = f[:, nc].astype(np.float64)
+            k = np.arange(nc.size)
+            inner = fv[p, k] + fv[q, k] + fv[r, k] - fv[s, k]
+            sup = np.abs(had[p] + had[q] + had[r] - had[s]).max(axis=1)
+            good[nc] &= (
+                (an[nc] >= 1.5 - 1e-9)
+                & (np.abs(inner - 3.0) <= 1e-9)
+                & (np.abs(sup - 2.0) <= 1e-9)
+            )
+        ok[lo:lo + block.size] = good
+    return ok, min_noncoset
+
+
 def _patch_hadamard(monkeypatch, fault):
     original = laws._hadamard
     monkeypatch.setattr(laws, "_hadamard", lambda N: fault(original(N)))
+
+
+def _inject(fault):
+    """The transform matrix with one entry class corrupted."""
+    def corrupt(had):
+        had = had.copy()
+        if fault == "halve-column-3":
+            had[:, 3] *= 0.5
+        else:
+            had[7] *= 2.0
+        return had
+
+    return corrupt
 
 
 class TestTinyNormArrayPass:
@@ -246,21 +302,53 @@ class TestTinyNormArrayPass:
     ])
     def test_fault_injection_fails_like_the_reference(
             self, monkeypatch, fault, failures, first_mask):
-        def inject(had):
-            had = had.copy()
-            if fault == "halve-column-3":
-                had[:, 3] *= 0.5
-            else:
-                had[7] *= 2.0
-            return had
-
-        _patch_hadamard(monkeypatch, inject)
+        _patch_hadamard(monkeypatch, _inject(fault))
         rep, ref = check_tiny_norm(3), _reference_tiny_norm(3)
         assert rep.failures == ref.failures == failures
         assert rep.counterexample == ref.counterexample == {"mask": first_mask, "n": 3}
         assert (rep.trials, rep.worst_margin) == (ref.trials, ref.worst_margin)
         ok, _ = laws._tiny_norm_verdicts(np.arange(1, 256), laws._hadamard(8))
         assert ok.tolist() == [_reference_tiny_norm_ok(m, 3) for m in range(1, 256)]
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_verdicts_match_block_reference_on_every_mask(self, n):
+        N = 1 << n
+        masks = np.arange(1, 1 << N, dtype=np.int64)
+        had = laws._hadamard(N)
+        ok, min_noncoset = laws._tiny_norm_verdicts(masks, had)
+        ref_ok, ref_min = _reference_block_verdicts(masks, had)
+        assert np.array_equal(ok, ref_ok)
+        assert min_noncoset == ref_min
+
+    @pytest.mark.parametrize("fault,failures,first_mask", [
+        ("halve-column-3", 2213, 7),
+        ("double-row-7", 15041, 22),
+    ])
+    def test_fault_injection_at_n4_fails_like_the_block_reference(
+            self, monkeypatch, fault, failures, first_mask):
+        _patch_hadamard(monkeypatch, _inject(fault))
+        masks = np.arange(1, 1 << 16, dtype=np.int64)
+        ok, min_noncoset = laws._tiny_norm_verdicts(masks, laws._hadamard(16))
+        ref_ok, ref_min = _reference_block_verdicts(masks, laws._hadamard(16))
+        assert np.array_equal(ok, ref_ok) and min_noncoset == ref_min
+        rep = check_tiny_norm(4)
+        # the halved column also pulls min_noncoset below 3/2: one more failure
+        assert rep.failures == failures == (~ref_ok).sum() + (ref_min != 1.5)
+        assert rep.counterexample == {"mask": first_mask, "n": 4}
+
+    def test_n4_sweep_peak_memory(self):
+        # tracemalloc peak of the whole n = 4 check: 2.16 MB with 2048-mask
+        # chunks (numpy 2.4, Python 3.11), set by record_many's arrays over
+        # the 65,535 margins; 2.25 MB with 3072 and 2.81 MB with 4096.  The
+        # bound leaves 21% headroom.
+        check_tiny_norm(4)
+        tracemalloc.start()
+        try:
+            check_tiny_norm(4)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2.5 * 2**20
 
     @pytest.mark.parametrize("scale,passed", [(0.4, True), (2.0, False)])
     def test_tolerance_edge(self, monkeypatch, scale, passed):
