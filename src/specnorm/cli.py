@@ -17,12 +17,19 @@ import time
 import numpy as np
 
 from . import fourier, laws
-from .decompose import DecomposeParams, decompose, decomposition_json
+from .decompose import DecomposeParams, decompose, decomposition_json, exact_support_eta
 from .fourier import RealFn, spectrum_to_json, wht
-from .generate import flat_indicator, gen_coset_ring, gen_random_boolean, random_subgroup, rng_for
-from .gf2 import Ambient, Subgroup
+from .generate import (
+    flat_indicator,
+    gen_coset_ring,
+    gen_random_boolean,
+    random_subgroup,
+    rng_for,
+    subgroup_of_dim,
+)
+from .gf2 import Ambient, Subgroup, full
 from .io import _format_reals, read_truth_table, write_truth_table
-from .spectral import a_norm, psi
+from .spectral import a_norm, find_spectral_support, psi
 
 EXIT_OK = 0
 EXIT_LAW_FAILURE = 1
@@ -148,7 +155,9 @@ def _bench_one(fn, reps: int) -> dict:
 def cmd_bench(args) -> int:
     if args.what == "decompose" and args.n > 12:
         raise ValueError("n too large for this benchmark")
-    ambient = Ambient(args.n)  # wht and anorm: n <= gf2.MAX_N
+    if args.what == "psi" and args.n < 4:
+        raise ValueError("bench psi needs n >= 4 (subgroups of dimension 2 and n - 4)")
+    ambient = Ambient(args.n)  # the rest: n <= gf2.MAX_N
     rng = rng_for(args.seed)
     results = {}
     if args.what in ("wht", "anorm"):
@@ -157,6 +166,21 @@ def cmd_bench(args) -> int:
         stats = _bench_one(lambda: op(f), args.reps)
         stats["points_per_s"] = ambient.size / stats["median_s"]
         results[fourier.BACKEND] = stats
+    elif args.what == "psi":
+        f = RealFn(ambient, rng.uniform(-1, 1, ambient.size))
+        for name, dim in (("dim=2", 2), ("codim=4", args.n - 4)):
+            H = subgroup_of_dim(ambient, dim, rng)
+            results[name] = {**_bench_one(lambda: psi(f, H), args.reps), "dim": dim}
+    elif args.what == "support":
+        # the coset ring is bench decompose's input; dense reals descend to
+        # the trivial subgroup, n steps
+        ring, _ = gen_coset_ring(ambient, 3, 2, rng)
+        reals = RealFn(ambient, rng.uniform(-1, 1, ambient.size))
+        top, eta = full(ambient), exact_support_eta(ambient)
+        for name, f in (("coset-ring", ring), ("reals", reals)):
+            stats = _bench_one(lambda: find_spectral_support(f, top, eta), args.reps)
+            stats["steps"] = find_spectral_support(f, top, eta).steps_used
+            results[name] = stats
     else:
         f, _ = gen_coset_ring(ambient, 3, 2, rng)
         results["decompose"] = _bench_one(lambda: decompose(f), args.reps)
@@ -169,6 +193,9 @@ def cmd_bench(args) -> int:
             line = f"{args.what} n={args.n} [{name}] median={stats['median_s'] * 1e3:.3f}ms p90={stats['p90_s'] * 1e3:.3f}ms"
             if "points_per_s" in stats:
                 line += f" throughput={stats['points_per_s']:.3e} pts/s"
+            for key in ("dim", "steps"):
+                if key in stats:
+                    line += f" {key}={stats[key]}"
             print(line)
     return EXIT_OK
 
@@ -217,8 +244,9 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--out", required=True)
     sp.set_defaults(fn=cmd_gen)
 
-    sp = sub.add_parser("bench", help="time the transform, the spectral norm or decompose")
-    sp.add_argument("what", choices=["wht", "anorm", "decompose"])
+    sp = sub.add_parser(
+        "bench", help="time the transform, the spectral norm, psi, the support descent or decompose")
+    sp.add_argument("what", choices=["wht", "anorm", "psi", "support", "decompose"])
     sp.add_argument("--n", type=int, default=16)
     sp.add_argument("--reps", type=int, default=5)
     sp.add_argument("--seed", type=int, default=0)

@@ -167,7 +167,10 @@ def spec_lp_norm(s: Spectrum, p) -> float:
         return float(np.max(np.abs(s.coeffs)))
     if p < 1:
         raise ValueError(f"p must be >= 1 or inf, got {p}")
-    return float(np.sum(np.abs(s.coeffs) ** p) ** (1.0 / p))
+    a = np.abs(s.coeffs)
+    if p == 1:
+        return float(np.sum(a))
+    return float(np.sum(a**p) ** (1.0 / p))
 
 
 def inner(f: RealFn, g: RealFn) -> float:

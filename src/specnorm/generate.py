@@ -33,6 +33,17 @@ def random_subgroup(ambient: Ambient, rng) -> Subgroup:
     return rref_span(ambient, _generators(ambient, rng))
 
 
+def subgroup_of_dim(ambient: Ambient, dim: int, rng) -> Subgroup:
+    """The span of dim uniform nonzero words, drawn again until it has
+    dimension dim."""
+    if not 0 <= dim <= ambient.n:
+        raise ValueError(f"dim must be in [0, {ambient.n}], got {dim}")
+    while True:
+        H = rref_span(ambient, rng.integers(1, ambient.size, size=dim))
+        if H.dim == dim:
+            return H
+
+
 def _random_subgroup_of_dim(ambient: Ambient, rng, min_dim: int) -> Subgroup:
     """random_subgroup, drawn again until its dimension is at least min_dim.
     Fewer than min_dim words span less, so such a draw is rejected before

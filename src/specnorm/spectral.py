@@ -9,10 +9,17 @@ support level of f on H is that descent run with eta = inf, so that it
 takes no step.  pd_eval evaluates the integer-detecting polynomial p_d
 at a float or over a whole array, and pd_apply applies it to a table.
 
-psi and the descent run on coset sums computed without transforms: one
-XOR-gather fold per basis word (_coset_sums).  psi folds f over H's
-basis and divides by |H|; the descent folds |fhat| over H^perp once,
-then once per step with the adjoined frequency word.
+psi and the descent run on coset sums computed without transforms,
+in quotient coordinates: the cosets of S are indexed by their smallest
+members, the words with every RREF pivot bit of S clear
+(_coset_minima).  psi sums f over the cosets of H and divides by |H|.
+The descent sums |fhat| over the cosets of H^perp once, keeps one sum
+per coset, and each step pairs those cosets along the adjoined word, so
+its array halves at every step.  On large tables over subgroups of
+dimension >= FRAME_MIN_DIM, _coset_sums gathers the table once into
+S's frame, halves it once per basis word and scatters the sums back;
+elsewhere it folds the whole table once per basis word.  Both add the
+same pairs in the same tree, so they agree bit for bit.
 """
 
 from __future__ import annotations
@@ -23,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import fourier
-from .fourier import RealFn, wht
+from .fourier import RealFn
 from .gf2 import Subgroup, point_to_hex, rref_span
 
 
@@ -58,9 +65,16 @@ class SupportCertificate:
         }
 
 
+def _abs_spectrum(f: RealFn) -> np.ndarray:
+    """|fhat| as a fresh table, with wht's operations."""
+    a = fourier._wht(f.values)
+    a /= f.ambient.size
+    return np.abs(a, out=a)
+
+
 def a_norm(f: RealFn) -> float:
     """Spectral (Wiener/algebra) norm: sum of |fhat(r)|."""
-    return fourier.spec_lp_norm(wht(f), 1)
+    return float(_abs_spectrum(f).sum())
 
 
 def psi(f: RealFn, H: Subgroup) -> RealFn:
@@ -70,38 +84,72 @@ def psi(f: RealFn, H: Subgroup) -> RealFn:
     return RealFn(f.ambient, _coset_sums(f.values, H) / H.size)
 
 
+def _free_bits(S: Subgroup) -> list[int]:
+    """The bit positions that are not RREF pivots of S, in increasing order."""
+    pivots = {b.bit_length() - 1 for b in S.basis}
+    return [j for j in range(S.ambient.n) if j not in pivots]
+
+
+def _coset_minima(S: Subgroup) -> np.ndarray:
+    """The smallest member of each coset of S, in increasing order: every
+    word with all of S's RREF pivot bits clear (Subgroup.reduce).
+
+    Built by doubling over the free bits from the lowest up, so entry i
+    sets free bit _free_bits(S)[k] exactly when i sets bit k.
+    """
+    out = np.zeros(1, dtype=np.int64)
+    for j in _free_bits(S):
+        out = np.concatenate((out, out | (1 << j)))
+    return out
+
+
+# _coset_sums gathers into S's frame only at n >= FRAME_MIN_N and
+# dim S >= FRAME_MIN_DIM.  Frame/fold time ratios (BENCH_13.json): at
+# n = 16..20, 0.97-1.4 for dim 1, 0.70-0.93 for dim 2 and 0.14-0.5 for
+# dims n/2 and up.  Below n = 16 the fold wins up to dim 3 on most runs
+# and the frame only at larger dims (0.47 at n = 14, dim 10).
+FRAME_MIN_N = 16
+FRAME_MIN_DIM = 2
+
+
 def _coset_sums(table: np.ndarray, S: Subgroup) -> np.ndarray:
     """out[..., x] = sum of table[..., :] over the coset x + S, for every x
     and for a (2^n,) table or each row of an (m, 2^n) stack.
 
-    One XOR-gather fold per basis word: the sums over span(D, b) are
-    s + s[x ^ b] for the sums s over D.  Each fold is symmetric in x and
-    x ^ b, so the result is bit-for-bit constant on every coset.  For
-    the trivial S the result is table itself, not a copy.
+    The fold: one XOR-gather per basis word over the whole table, the
+    sums over span(D, b) being s + s[x ^ b] for the sums s over D.  Each
+    fold is symmetric in x and x ^ b, so the result is bit-for-bit
+    constant on every coset.  For the trivial S it is table itself.
+
+    The frame path, at n >= FRAME_MIN_N and dim S >= FRAME_MIN_DIM:
+    gather the table once into the (|S|, cosets) frame, sorted members
+    of S XOR the coset minima; halve the member axis once per basis word
+    (s[:h] + s[h:]); scatter the sums back once.  Sorted members put
+    basis[0], on the top pivot, on the top bit of the row index, so each
+    halving adds the pairs of the fold's own step in the same order up
+    to a + b == b + a: the bits are the fold's.
     """
-    out = table
-    idx = np.arange(table.shape[-1])
-    for b in S.basis:
-        out = out + out.take(idx ^ b, axis=-1)
+    n = table.shape[-1].bit_length() - 1
+    if n < FRAME_MIN_N or S.dim < FRAME_MIN_DIM:
+        out = table
+        idx = np.arange(table.shape[-1])
+        for b in S.basis:
+            out = out + out.take(idx ^ b, axis=-1)
+        return out
+    frame = np.sort(S.element_array())[:, None] ^ _coset_minima(S)
+    s = table.take(frame, axis=-1)
+    h = S.size
+    while h > 1:
+        h //= 2
+        s = s[..., :h, :] + s[..., h:, :]
+    out = np.empty(table.shape, dtype=s.dtype)
+    out[..., frame] = s
     return out
 
 
 # Coset sums within TIE_SLACK of the largest count as tied with it, so the
 # smallest word wins even when transform rounding splits a tie by a few ulps.
 TIE_SLACK = 1e-12
-
-
-def _worst_off_coset(sums: np.ndarray, dual: Subgroup) -> tuple[float, int]:
-    """Largest coset sum off the proper subgroup dual, and the smallest
-    word attaining it to within TIE_SLACK.
-
-    sums is constant on cosets of dual, so that word is also the
-    smallest member of its coset.
-    """
-    off = ~dual.mask()
-    worst = float(np.max(sums[off]))
-    rep = int(np.flatnonzero(off & (sums >= worst - TIE_SLACK))[0])
-    return worst, rep
 
 
 def spectral_support_level(f: RealFn, H: Subgroup) -> tuple[float, int]:
@@ -129,39 +177,58 @@ def find_spectral_support(f: RealFn, H: Subgroup, eta: float) -> SupportCertific
     Each step adjoins to the dual span the smallest frequency word of
     the coset with maximal offending mass; the step count is bounded by
     ceil(a_norm(f)/eta) since offending cosets are pairwise disjoint.
-    The coset sums of |fhat| are folded over H^perp once and then once
-    more per step, with the adjoined word.
     """
     if eta <= 0:
         raise ValueError("eta must be positive")
-    return _descent(np.abs(wht(f).coeffs), H, eta)
+    return _descent(_abs_spectrum(f), H, eta)
 
 
 def _descent(sums: np.ndarray, H: Subgroup, eta: float) -> SupportCertificate:
-    """find_spectral_support on |fhat|, passed as the table sums.  Every
-    fold rebinds sums, so a temporary passed in is freed at the first
-    fold, not held for the whole descent (8 MiB at n = 20)."""
+    """find_spectral_support on |fhat|, passed as the table sums, which is
+    never written.
+
+    The descent runs on the quotient by the dual span D: sums[i] is the
+    mass of the coset whose smallest word is _coset_minima(D)[i], so
+    i = 0 is D itself, and those words increase with i.  The start
+    D = H^perp is summed by _coset_sums and, when nontrivial, compressed
+    onto its minima once.  Adjoining the word of coset c pairs coset i
+    with coset i ^ c.  With p the top bit of c, the one of the two with
+    bit p of i clear holds the smaller word and keeps the pair's sum,
+    added in the order the whole-table fold added it.  So the array
+    halves at every step, D's new minima are the old ones with bit p
+    clear, and the smallest word of a worst coset sits at the first
+    index within TIE_SLACK of the largest off-D mass.
+    """
     ambient = H.ambient
     dual = H.annihilator()
     sums = _coset_sums(sums, dual)
-    idx = np.arange(ambient.size)
-    steps = 0
+    if dual.dim:
+        sums = sums[_coset_minima(dual)]
+    free = _free_bits(dual)  # index bit k of sums is word bit free[k]
+    reps = []
     while True:
-        if dual.dim == ambient.n:
+        if sums.size == 1:
             worst, rep = 0.0, 0
             break
-        worst, rep = _worst_off_coset(sums, dual)
+        off = sums[1:]
+        worst = float(np.max(off))
+        c = 1 + int(np.argmax(off >= worst - TIE_SLACK))
+        rep = sum(1 << free[k] for k in range(c.bit_length()) if (c >> k) & 1)
         if worst <= eta:
             break
-        dual = rref_span(ambient, list(dual.basis) + [rep])
-        sums = sums + sums[idx ^ rep]
-        steps += 1
+        p = c.bit_length() - 1
+        halves = sums.reshape(-1, 2, 1 << p)
+        partner = np.arange(1 << p) ^ (c ^ (1 << p))
+        sums = (halves[:, 0, :] + halves[:, 1, :].take(partner, axis=1)).ravel()
+        del free[p]
+        reps.append(rep)
     return SupportCertificate(
-        subgroup=dual.annihilator() if steps else H,  # (H^perp)^perp = H
+        # (H^perp)^perp = H
+        subgroup=rref_span(ambient, list(dual.basis) + reps).annihilator() if reps else H,
         eta=eta,
         worst_coset_rep=rep,
         worst_mass=worst,
-        steps_used=steps,
+        steps_used=len(reps),
     )
 
 

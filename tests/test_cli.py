@@ -310,15 +310,49 @@ class TestBenchCmd:
         assert code == EXIT_OK
         assert "median=" in capsys.readouterr().out
 
+    def test_psi_json(self, capsys):
+        code = main(["bench", "psi", "--n", "9", "--reps", "2", "--json"])
+        assert code == EXIT_OK
+        doc = json.loads(capsys.readouterr().out)
+        assert (doc["what"], doc["n"], doc["reps"]) == ("psi", 9, 2)
+        assert {name: stats["dim"] for name, stats in doc["results"].items()} == {
+            "dim=2": 2, "codim=4": 5}
+        for stats in doc["results"].values():
+            assert stats["median_s"] > 0 and stats["p90_s"] >= stats["median_s"]
+
+    def test_support_json(self, capsys):
+        code = main(["bench", "support", "--n", "8", "--reps", "2", "--json"])
+        assert code == EXIT_OK
+        doc = json.loads(capsys.readouterr().out)
+        assert list(doc["results"]) == ["coset-ring", "reals"]
+        # dense reals have every |fhat| above 2^-(n+1): n steps to {0}
+        assert doc["results"]["reals"]["steps"] == 8
+        assert 0 <= doc["results"]["coset-ring"]["steps"] <= 8
+        for stats in doc["results"].values():
+            assert stats["median_s"] > 0
+
+    def test_support_text(self, capsys):
+        assert main(["bench", "support", "--n", "6", "--reps", "1"]) == EXIT_OK
+        lines = capsys.readouterr().out.splitlines()
+        assert [line.split()[2] for line in lines] == ["[coset-ring]", "[reals]"]
+        assert lines[1].endswith(" steps=6")
+
     def test_too_large(self):
         assert main(["bench", "wht", "--n", "30"]) == EXIT_BAD_INPUT
 
-    @pytest.mark.parametrize("what", ["wht", "decompose"])
+    @pytest.mark.parametrize("what", ["wht", "decompose", "psi", "support"])
     def test_n_zero(self, what, capsys):
         assert main(["bench", what, "--n", "0"]) == EXIT_BAD_INPUT
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("what, n", [("psi", "3"), ("psi", "25"), ("support", "25")])
+    def test_bad_n(self, what, n, capsys):
+        # psi needs subgroups of dimension 2 and n - 4; n = 25 exceeds gf2.MAX_N
+        assert main(["bench", what, "--n", n]) == EXIT_BAD_INPUT
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
 
 
 # path placeholders, filled in per test: TABLE a valid truth table, OUT a

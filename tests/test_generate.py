@@ -3,9 +3,11 @@
 The references below are those versions, which ran a rank reduction on
 every draw and enumerated a structured set's subgroup twice; the library
 now rejects a draw of too few generators before its rank reduction.
+subgroup_of_dim, which has no earlier version, is checked on its own.
 """
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -14,6 +16,7 @@ from specnorm.generate import (
     random_structured_set_mask,
     random_subgroup,
     rng_for,
+    subgroup_of_dim,
 )
 from specnorm.gf2 import Ambient, rref_span
 
@@ -92,3 +95,18 @@ class TestStreamsMatchReference:
             lambda rng: _reference_random_flat(ambient, rng, min_dim), seed, index)
         assert flat == ref
         assert state == ref_state
+
+
+class TestSubgroupOfDim:
+    @given(n=st.integers(1, 12), seed=st.integers(0, 2**32 - 1), data=st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_exact_dimension(self, n, seed, data):
+        dim = data.draw(st.integers(0, n), label="dim")
+        H = subgroup_of_dim(Ambient(n), dim, rng_for(seed))
+        assert H.dim == dim and H.ambient == Ambient(n)
+
+    @pytest.mark.parametrize("dim", [-1, 5])
+    def test_dimension_outside_ambient(self, dim):
+        # no draw of words in F_2^4 spans dimension 5: refuse, never loop
+        with pytest.raises(ValueError):
+            subgroup_of_dim(Ambient(4), dim, rng_for(0))

@@ -7,14 +7,24 @@ from hypothesis import strategies as st
 
 from specnorm.decompose import exact_support_eta
 from specnorm.fourier import RealFn, Spectrum, constant, iwht, wht
-from specnorm.generate import flat_indicator, gen_coset_ring, random_subgroup, rng_for
+from specnorm.generate import (
+    flat_indicator,
+    gen_coset_ring,
+    random_subgroup,
+    rng_for,
+    subgroup_of_dim,
+)
 from specnorm.gf2 import Ambient, full, rref_span, trivial
 from specnorm.spectral import (
+    FRAME_MIN_DIM,
+    FRAME_MIN_N,
     MAX_PD_DEGREE,
     TIE_SLACK,
     NotAlmostInteger,
+    SupportCertificate,
+    _coset_minima,
     _coset_sums,
-    _worst_off_coset,
+    _descent,
     a_norm,
     approx_hom_defect,
     find_spectral_support,
@@ -171,6 +181,114 @@ class TestCosetSums:
             assert np.all(sums[S.element_array() ^ x] == sums[x])
 
 
+def fold_coset_sums(table, S):
+    """Coset sums by one whole-table XOR-gather fold per basis word: the
+    reference for both paths of _coset_sums."""
+    out = table
+    idx = np.arange(table.shape[-1])
+    for b in S.basis:
+        out = out + out.take(idx ^ b, axis=-1)
+    return out
+
+
+def fold_worst_off_coset(sums, dual):
+    """Largest coset sum off the proper subgroup dual, and the smallest
+    word within TIE_SLACK of it, read from a whole-table mask."""
+    off = ~dual.mask()
+    worst = float(np.max(sums[off]))
+    rep = int(np.flatnonzero(off & (sums >= worst - TIE_SLACK))[0])
+    return worst, rep
+
+
+def fold_descent(sums, H, eta):
+    """The descent on whole tables: every step folds all 2^n sums with the
+    adjoined word and masks the new dual."""
+    ambient = H.ambient
+    dual = H.annihilator()
+    sums = fold_coset_sums(sums, dual)
+    idx = np.arange(ambient.size)
+    steps = 0
+    while True:
+        if dual.dim == ambient.n:
+            worst, rep = 0.0, 0
+            break
+        worst, rep = fold_worst_off_coset(sums, dual)
+        if worst <= eta:
+            break
+        dual = rref_span(ambient, list(dual.basis) + [rep])
+        sums = sums + sums[idx ^ rep]
+        steps += 1
+    return SupportCertificate(
+        subgroup=dual.annihilator() if steps else H,
+        eta=eta,
+        worst_coset_rep=rep,
+        worst_mass=worst,
+        steps_used=steps,
+    )
+
+
+# n and dim S on both sides of the frame path's thresholds, plus small n
+EDGE_NS = (1, 2, 3, 5, 8, FRAME_MIN_N - 1, FRAME_MIN_N)
+
+
+@st.composite
+def edge_subgroups(draw):
+    """(S, rng): a subgroup of drawn dimension and a stream for its tables."""
+    n = draw(st.sampled_from(EDGE_NS))
+    d = min(n, draw(st.sampled_from((FRAME_MIN_DIM - 1, FRAME_MIN_DIM, FRAME_MIN_DIM + 1))
+                    | st.integers(0, n)))
+    rng = rng_for(draw(st.integers(0, 2**32 - 1)))
+    return subgroup_of_dim(Ambient(n), d, rng), rng
+
+
+def tied_masses(rng, size):
+    """Nonnegative integer masses, mostly zero, so coset sums tie exactly."""
+    q = min(0.25, 8 / size)
+    return rng.choice([0.0, 1.0, 2.0], size, p=[1 - 2 * q, q, q])
+
+
+class TestQuotientPaths:
+    @given(edge_subgroups(), st.sampled_from(["real", "int", "stack"]))
+    @settings(max_examples=120, deadline=None)
+    def test_coset_sums_match_fold_bitwise(self, case, kind):
+        S, rng = case
+        size = S.ambient.size
+        table = {
+            "real": lambda: rng.uniform(-1, 1, size),
+            "int": lambda: tied_masses(rng, size),
+            "stack": lambda: rng.uniform(-1, 1, (3, size)),
+        }[kind]()
+        got = _coset_sums(table, S)
+        want = fold_coset_sums(table, S)
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+    @given(edge_subgroups(), st.sampled_from(["reals", "ints"]),
+           st.sampled_from(["inf", "0.05", "exact"]))
+    @settings(max_examples=120, deadline=None)
+    def test_descent_matches_fold_bitwise(self, case, kind, eta_kind):
+        S, rng = case
+        a = S.ambient
+        if kind == "reals":
+            sums = np.abs(wht(RealFn(a, rng.uniform(-1, 1, a.size))).coeffs)
+        else:
+            sums = tied_masses(rng, a.size)
+        eta = {"inf": math.inf, "0.05": 0.05, "exact": exact_support_eta(a)}[eta_kind]
+        sums.setflags(write=False)  # _descent never writes its input
+        for H in (S, S.annihilator(), full(a)):
+            got = _descent(sums, H, eta)
+            assert repr(got) == repr(fold_descent(sums, H, eta))
+
+    @given(st.integers(1, 10), st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_coset_minima_are_the_reduced_words(self, n, data):
+        a = Ambient(n)
+        S = rref_span(a, data.draw(st.lists(st.integers(0, a.size - 1), max_size=n + 1)))
+        minima = _coset_minima(S)
+        assert np.all(np.diff(minima) > 0)
+        xs = np.arange(a.size)
+        assert np.array_equal(minima, xs[S.reduce(xs) == xs])
+
+
 class TestSpectralSupport:
     def test_subgroup_indicator_always_supported(self):
         a = Ambient(3)
@@ -198,7 +316,7 @@ def reference_support_level(f, H):
     Hp = H.annihilator()
     if Hp.dim == f.ambient.n:
         return 0.0, 0
-    return _worst_off_coset(_coset_sums(np.abs(wht(f).coeffs), Hp), Hp)
+    return fold_worst_off_coset(fold_coset_sums(np.abs(wht(f).coeffs), Hp), Hp)
 
 
 class TestSupportLevel:
@@ -220,12 +338,14 @@ class TestSupportLevel:
 class TestWorstOffCoset:
     @pytest.mark.parametrize("below, rep", [(0.0, 3), (0.5, 3), (1.0, 3), (2.0, 5)])
     def test_tie_slack_edge(self, below, rep):
-        # off the trivial dual every word is its own coset; word 3 counts as
+        # from the full group the dual is trivial and every word is its own
+        # coset, so the zero-step descent reads sums as given; word 3 counts as
         # tied with the larger word 5 while within TIE_SLACK of its sum
         sums = np.zeros(8)
         sums[5] = 1.0
         sums[3] = 1.0 - below * TIE_SLACK
-        assert _worst_off_coset(sums, trivial(Ambient(3))) == (1.0, rep)
+        cert = _descent(sums, full(Ambient(3)), math.inf)
+        assert (cert.worst_mass, cert.worst_coset_rep) == (1.0, rep)
 
 
 class TestFindSpectralSupport:
