@@ -2,10 +2,11 @@
 subgroup indicators, through the spectral quotient.
 
 decompose rounds f to f_int = rint(f), which is what the output
-represents, and makes one descent on it.  The transform of an integer
-table is exact dyadic arithmetic, and every |f_int-hat(r)| is a multiple
-of 2^-n, so every off-dual coset mass is either exactly 0 or at least
-2^-n.  The greedy spectral-support descent from the full group, run with
+represents, transforms it once, and makes one descent on that
+|f_int-hat| table, which also gives the split norms it reports.  The
+transform of an integer table is exact dyadic arithmetic, and every
+|f_int-hat(r)| is a multiple of 2^-n, so every off-dual coset mass is
+either exactly 0 or at least 2^-n.  The greedy spectral-support descent from the full group, run with
 eta below 2^-n, therefore stops only when the dual spans the support of
 f_int-hat.  Each step adds one dimension to the dual, so it takes at
 most n steps, and it lands on H', the largest subgroup that f_int is
@@ -21,13 +22,15 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .fourier import RealFn, wht
+from .fourier import RealFn
 from .gf2 import Ambient, Subgroup, full, rref_span, trivial
 from .spectral import (
     AlmostIntFn,
     NotAlmostInteger,
     SupportCertificate,
-    find_spectral_support,
+    _abs_spectrum,
+    _coset_minima,
+    _descent,
     round_to_int,
 )
 
@@ -106,7 +109,7 @@ def _extract_coset_terms(f_int: RealFn, H: Subgroup) -> tuple[SignedCosetTerm, .
     """One term per H-coset with a nonzero value, in increasing order of
     the coset's smallest element."""
     vals = np.rint(f_int.values).astype(np.int64)
-    reps = np.unique(H.reduce(np.arange(f_int.ambient.size, dtype=np.int64)))
+    reps = _coset_minima(H)
     return tuple(
         SignedCosetTerm(coeff=int(vals[r]), rep=int(r), H=H)
         for r in reps[vals[reps] != 0]
@@ -152,14 +155,13 @@ def inductive_step(f: AlmostIntFn) -> SplitOutcome:
     extract its coset terms.  The descent takes at most n steps and ends
     with no off-dual mass, so f_int is constant on the cosets it lands on.
 
-    The split norms all come from one |f_int-hat|: f1 = psi_{H'} f_int has
-    the part of the spectrum on H'^perp and f2 = f_int - f1 the part off it.
+    One |f_int-hat| table, the one transform of a decompose, feeds both
+    the descent and the split norms: f1 = psi_{H'} f_int has the part of
+    the spectrum on H'^perp and f2 = f_int - f1 the part off it.
     """
     f_int = f.f_int
-    cert = find_spectral_support(
-        f_int, full(f_int.ambient), exact_support_eta(f_int.ambient)
-    )
-    mass = np.abs(wht(f_int).coeffs)
+    mass = _abs_spectrum(f_int.values)
+    cert = _descent(mass, full(f_int.ambient), exact_support_eta(f_int.ambient))
     on = cert.subgroup.annihilator().mask()
     return SplitOutcome(
         certificate=cert,
@@ -188,7 +190,7 @@ def decompose(
             "a_norm_f1": outcome.a_norm_parts[0],
             "a_norm_f2": outcome.a_norm_parts[1],
             "eta": outcome.certificate.eta,
-            "eps_level": max(base.eps, params.eps0),
+            "eps_level": params.eps0,
         }
     )
     expr = _expand(f.ambient, outcome.terms)

@@ -99,12 +99,10 @@ def gen_coset_ring(
             i = int(rng.integers(0, len(parts)))
             parts[i] = 1.0 - parts[i]
             ops.append({"op": "not", "args": [i]})
-    out = parts[0]
     while len(parts) > 1:
         b = parts.pop()
         a = parts.pop()
-        out = a + b - a * b
-        parts.append(out)
+        parts.append(a + b - a * b)
         ops.append({"op": "or", "args": "final-fold"})
     f = RealFn(ambient, np.rint(parts[0]))
     record = {"n": ambient.n, "flats": record_flats, "ops": ops}

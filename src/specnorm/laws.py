@@ -21,6 +21,12 @@ by peak RSS: on the perfbench decompose-laws workload it peaked at
 42.3-42.4 MB, as the per-trial loops did, where blocks of 2^16 entries
 peaked at 43.4-43.8 MB and of 2^18 at 51.4 MB, for no clear gain in
 speed (BENCH_11.json).
+
+The checks compute no quantity of their own that the library owns: each
+|transform| comes from spectral._abs_spectrum (an A-norm is its row sum),
+each coset sum from spectral._coset_sums, each support level from
+spectral._descent, and each nu4 level set from additive's _LEVEL_GUARD
+rule (_level_sets, and s_eta for lemma14).
 """
 
 from __future__ import annotations
@@ -33,7 +39,7 @@ from statistics import median
 
 import numpy as np
 
-from . import fourier, spectral
+from . import spectral
 from .additive import (
     PointSet,
     _convolutions,
@@ -45,7 +51,7 @@ from .additive import (
     _sumsets,
     bogolyubov_subgroup,
     is_arithmetically_connected,
-    nu4,
+    s_eta,
     set_stats,
     spec_set,
 )
@@ -59,12 +65,7 @@ from .generate import (
     rng_for,
 )
 from .gf2 import Ambient, rref_span
-from .spectral import (
-    MAX_PD_DEGREE,
-    a_norm,
-    pd_eval,
-    round_to_int,
-)
+from .spectral import MAX_PD_DEGREE, pd_eval, round_to_int
 
 
 @dataclass
@@ -83,22 +84,18 @@ class LawReport:
         return self.failures == 0 and self.trials > 0
 
     def record(self, margin: float, witness: dict) -> None:
-        self.trials += 1
-        if margin < self.worst_margin:
-            self.worst_margin = margin
-        if margin < 0:
-            self.failures += 1
-            if self.counterexample is None:
-                self.counterexample = witness
+        """One trial's margin; a negative one fails it."""
+        self.record_many([margin], lambda i: witness)
 
     def record_many(self, margins, witness) -> None:
-        """``record`` once per entry of ``margins``, in order.  ``witness(i)``
+        """One trial per entry of ``margins``, in order.  ``witness(i)``
         gives entry i's witness; it is called, before this returns, only
-        for the entry that becomes the counterexample."""
+        for the entry that becomes the counterexample, the first negative
+        margin of the report."""
         margins = np.asarray(margins, dtype=np.float64).ravel()
         self.trials += margins.size
-        # record skips NaN (it is never < anything) and keeps the first of
-        # equal minima, which is what argmin over the non-NaN entries gives
+        # a NaN margin is never worst and never fails; of equal minima the
+        # first is kept, which is what argmin over the non-NaN entries gives
         valid = np.flatnonzero(~np.isnan(margins))
         if valid.size:
             worst = float(margins[valid[np.argmin(margins[valid])]])
@@ -149,7 +146,7 @@ def _random_set(ambient: Ambient, rng) -> PointSet:
 
 
 # Slack on the tiny-norm law's quantities (anorms, and the certificate's
-# <f, phi> and sup |phi-hat|), all dyadic rationals at n <= 4.
+# sup |phi-hat|), all dyadic rationals at n <= 4.
 TINY_NORM_TOL = 1e-9
 # Added to every pd margin.  At d = 0 the lower bound |p_0(t)| >= ||t|| is an
 # equality on the whole grid, so pd's worst margin is exactly this slack.
@@ -163,8 +160,6 @@ NORM_BOUND_SLACK = 1e-9
 # to lemma14's budget test.  A subgroup A has 4A = A and doubling 1, so its
 # plunnecke margin is exactly this slack.
 DENSITY_SLACK = 1e-12
-# Subtracted from each lemma14 level threshold on nu4, see _level_set.
-LEVEL_SLACK = 1e-12
 # rho of the large spectrum in check_chang_report
 CHANG_RHO = 0.25
 
@@ -220,14 +215,9 @@ def _bit_planes(f: np.ndarray) -> np.ndarray:
     return planes.view(np.uint64)
 
 
-def _unpack(words: np.ndarray, count: int | None = None) -> np.ndarray:
-    """The bits of each row of _bit_planes words, the first count of them
-    (all if None), as booleans."""
+def _unpack(words: np.ndarray, count: int) -> np.ndarray:
+    """The first count bits of each row of _bit_planes words, as booleans."""
     return np.unpackbits(words.view(np.uint8), axis=-1, count=count, bitorder="little").view(bool)
-
-
-# the certificate phi = N (1_p + 1_q + 1_r - 1_(p^q^r)) at p, q, r, p^q^r, over N
-_PHI = np.array([1.0, 1.0, 1.0, -1.0])
 
 
 def _tiny_norm_verdicts(masks: np.ndarray, had: np.ndarray) -> tuple[np.ndarray, float]:
@@ -239,7 +229,10 @@ def _tiny_norm_verdicts(masks: np.ndarray, had: np.ndarray) -> tuple[np.ndarray,
     (a, b, c, d), pairs, triples, rows, starts, weights = _sweep_index(N)
     ok = np.empty(masks.size, dtype=bool)
     min_noncoset = math.inf
-    sup = None
+    # sup |phi-hat| of each triple's certificate phi = N (1_p + 1_q + 1_r -
+    # 1_(p^q^r)): it depends on the triple alone (none at n = 1)
+    tp, tq, tr, ts = triples
+    sup = np.abs(had[tp] + had[tq] + had[tr] - had[ts]).max(axis=1)
     # tables are stored transposed, one row per point x and one column per
     # mask; the rows pack into words of 64 masks, so every test below
     # handles 64 masks per word operation
@@ -276,18 +269,7 @@ def _tiny_norm_verdicts(masks: np.ndarray, had: np.ndarray) -> tuple[np.ndarray,
             first = np.bitwise_or.accumulate(bad)
             first[1:] &= ~first[:-1]
             w = (weights @ _unpack(np.bitwise_or.reduceat(first[rows], starts), m))[nc]
-            # <f, phi> / N from the table at p, q, r and p^q^r
-            inner = _PHI @ f[triples[:, w], nc].astype(np.float64)
-            if sup is None:
-                # sup |phi @ had / N| depends on the triple alone; at
-                # n = 1 there are no triples and no non-cosets
-                tp, tq, tr, ts = triples
-                sup = np.abs(had[tp] + had[tq] + had[tr] - had[ts]).max(axis=1)
-            good[nc] &= (
-                (an[nc] >= 1.5 - TINY_NORM_TOL)
-                & (np.abs(inner - 3.0) <= TINY_NORM_TOL)
-                & (np.abs(sup[w] - 2.0) <= TINY_NORM_TOL)
-            )
+            good[nc] &= (an[nc] >= 1.5 - TINY_NORM_TOL) & (np.abs(sup[w] - 2.0) <= TINY_NORM_TOL)
         ok[lo:lo + m] = good
     return ok, min_noncoset
 
@@ -297,6 +279,9 @@ def check_tiny_norm(n: int) -> LawReport:
     """Exhaustive: nonzero boolean f is a coset indicator iff a_norm <= 1
     iff parallelogram-closed, and otherwise a_norm >= 3/2, with the
     four-point certificate giving <f, phi> = 3 and ||phi-hat||_inf = 2.
+    The certificate sits on the mask's first violating triple p < q < r,
+    so f is 1, 1, 1, 0 at p, q, r, p^q^r and <f, phi> = 3 holds for every
+    mask by construction; the sweep tests ||phi-hat||_inf alone.
 
     The 2^(2^n) - 1 tables are tested in chunks of _TINY_NORM_CHUNK = 2048
     masks, stored as bit planes: the table's value at each point x packs
@@ -367,11 +352,6 @@ def _sampled(law_id: str, n: int, trials: int, seed: int, block_margins) -> LawR
     return rep
 
 
-def _a_norms(tables: np.ndarray) -> list[float]:
-    """a_norm of each row, with spectral.a_norm's operations."""
-    return np.abs(fourier._wht(tables) / tables.shape[-1]).sum(axis=-1).tolist()
-
-
 def _draw_reals(ambient: Ambient, seed: int, block: range, tables: int):
     """Per trial: the given number of uniform [-1, 1) tables, then a random
     subgroup, from the trial's own stream.  Returns the tables stacked
@@ -394,13 +374,13 @@ def check_approx_hom(n: int, trials: int, seed: int) -> LawReport:
 
     def block_margins(block):
         (F, G), Hs = _draw_reals(ambient, seed, block, 2)
-        abs_f = np.abs(fourier._wht(F) / ambient.size)
-        norm_g = _a_norms(G)
+        abs_f = spectral._abs_spectrum(F)
+        norm_g = spectral._abs_spectrum(G).sum(axis=-1).tolist()
         D = np.empty_like(F)
         for i, H in enumerate(Hs):
             fg, pf, pg = spectral._coset_sums(np.stack((F[i] * G[i], F[i], G[i])), H) / H.size
             D[i] = fg - pf * pg
-        defect = _a_norms(D)
+        defect = spectral._abs_spectrum(D).sum(axis=-1).tolist()
         return [
             spectral._descent(abs_f[i], H, math.inf).worst_mass * norm_g[i]
             + NORM_BOUND_SLACK - defect[i]
@@ -417,14 +397,14 @@ def check_power_bound(n: int, trials: int, seed: int) -> LawReport:
 
     def block_margins(block):
         (F,), Hs = _draw_reals(ambient, seed, block, 1)
-        abs_f = np.abs(fourier._wht(F) / ambient.size)
+        abs_f = spectral._abs_spectrum(F)
         m_norm = abs_f.sum(axis=-1).tolist()
         ks = [2 + t % 4 for t in block]
         D = np.empty_like(F)
         for i, H in enumerate(Hs):
             pf, pfk = spectral._coset_sums(np.stack((F[i], F[i]**ks[i])), H) / H.size
             D[i] = pfk - pf**ks[i]
-        lhs = _a_norms(D)
+        lhs = spectral._abs_spectrum(D).sum(axis=-1).tolist()
         return [
             spectral._descent(abs_f[i], H, math.inf).worst_mass * (ks[i] - 1)
             * m_norm[i] ** (ks[i] - 1)
@@ -515,11 +495,6 @@ def check_plunnecke_instances(n: int, trials: int, seed: int) -> LawReport:
     return _sampled("plunnecke", n, trials, seed, block_margins)
 
 
-def _level_set(nu: np.ndarray, level: float, alpha: float) -> np.ndarray:
-    """{x : nu(x) >= level * alpha^3}, down to LEVEL_SLACK below the level."""
-    return nu >= level * alpha**3 - LEVEL_SLACK
-
-
 @_timed
 def check_lemma14(n: int, trials: int, seed: int) -> LawReport:
     """Pigeonhole level schedule: the part of the chosen level set not
@@ -542,12 +517,11 @@ def check_lemma14(n: int, trials: int, seed: int) -> LawReport:
         eta0 = 1.0 / (2.0 * K**4)
         eps = 1.0 / (64.0 * K**12)
         L = math.ceil(1.0 / (4.0 * K**4 * eps))
-        nu = nu4(A).values
         budget = alpha / (16.0 * K**4)
         j_found = None
-        prev = float(np.mean(_level_set(nu, eta0, alpha)))
+        prev = s_eta(A, eta0).density
         for j in range(L):
-            cur = float(np.mean(_level_set(nu, eta0 - (j + 1) * eps, alpha)))
+            cur = s_eta(A, eta0 - (j + 1) * eps).density
             if cur - prev <= budget + DENSITY_SLACK:
                 j_found = j
                 break
@@ -557,7 +531,7 @@ def check_lemma14(n: int, trials: int, seed: int) -> LawReport:
             continue
         rho = 1.0 / (16.0 * K**6)
         Hp = bogolyubov_subgroup(A, rho)
-        S = PointSet(ambient, _level_set(nu, eta0 - (j_found + 1) * eps, alpha))
+        S = s_eta(A, eta0 - (j_found + 1) * eps)
         cover = spectral._coset_sums(S.members.astype(np.float64), Hp)
         fully = cover > Hp.size - 0.5
         X = S.members & ~fully

@@ -65,16 +65,17 @@ class SupportCertificate:
         }
 
 
-def _abs_spectrum(f: RealFn) -> np.ndarray:
-    """|fhat| as a fresh table, with wht's operations."""
-    a = fourier._wht(f.values)
-    a /= f.ambient.size
+def _abs_spectrum(table: np.ndarray) -> np.ndarray:
+    """|fhat| of a (2^n,) table, or of each row of an (m, 2^n) stack, as a
+    fresh array, with wht's operations."""
+    a = fourier._wht(table)
+    a /= table.shape[-1]
     return np.abs(a, out=a)
 
 
 def a_norm(f: RealFn) -> float:
     """Spectral (Wiener/algebra) norm: sum of |fhat(r)|."""
-    return float(_abs_spectrum(f).sum())
+    return float(_abs_spectrum(f.values).sum())
 
 
 def psi(f: RealFn, H: Subgroup) -> RealFn:
@@ -180,7 +181,7 @@ def find_spectral_support(f: RealFn, H: Subgroup, eta: float) -> SupportCertific
     """
     if eta <= 0:
         raise ValueError("eta must be positive")
-    return _descent(_abs_spectrum(f), H, eta)
+    return _descent(_abs_spectrum(f.values), H, eta)
 
 
 def _descent(sums: np.ndarray, H: Subgroup, eta: float) -> SupportCertificate:
@@ -190,8 +191,9 @@ def _descent(sums: np.ndarray, H: Subgroup, eta: float) -> SupportCertificate:
     The descent runs on the quotient by the dual span D: sums[i] is the
     mass of the coset whose smallest word is _coset_minima(D)[i], so
     i = 0 is D itself, and those words increase with i.  The start
-    D = H^perp is summed by _coset_sums and, when nontrivial, compressed
-    onto its minima once.  Adjoining the word of coset c pairs coset i
+    D = H^perp is summed by _coset_sums and compressed onto its minima
+    once; a trivial D needs neither, as sums already has one entry per
+    coset.  Adjoining the word of coset c pairs coset i
     with coset i ^ c.  With p the top bit of c, the one of the two with
     bit p of i clear holds the smaller word and keeps the pair's sum,
     added in the order the whole-table fold added it.  So the array
@@ -201,9 +203,8 @@ def _descent(sums: np.ndarray, H: Subgroup, eta: float) -> SupportCertificate:
     """
     ambient = H.ambient
     dual = H.annihilator()
-    sums = _coset_sums(sums, dual)
     if dual.dim:
-        sums = sums[_coset_minima(dual)]
+        sums = _coset_sums(sums, dual)[_coset_minima(dual)]
     free = _free_bits(dual)  # index bit k of sums is word bit free[k]
     reps = []
     while True:

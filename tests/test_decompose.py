@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from specnorm.decompose import (
     CosetRingExpr,
+    _extract_coset_terms,
     DecomposeParams,
     SignedCosetTerm,
     SubgroupTerm,
@@ -103,6 +104,14 @@ def reference_trivial_expr(f_int):
     return CosetRingExpr(f_int.ambient, tuple(terms))
 
 
+def reference_extract_coset_terms(f_int, H):
+    """The coset terms, with the representatives found by reducing every
+    word to its coset's smallest member and taking the distinct ones."""
+    vals = np.rint(f_int.values).astype(np.int64)
+    reps = np.unique(H.reduce(np.arange(f_int.ambient.size, dtype=np.int64)))
+    return tuple(SignedCosetTerm(int(vals[r]), int(r), H) for r in reps[vals[reps] != 0])
+
+
 def reference_split_norms(f):
     """The split norms through f1 = psi_{H'} f_int and three transforms."""
     f_int = f.f_int
@@ -123,6 +132,17 @@ class TestMergedPathsMatchReferences:
         a = Ambient(n)
         f = RealFn(a, rng_for(seed).integers(-3, 4, a.size).astype(float))
         assert trivial_expr(f).terms == reference_trivial_expr(f).terms
+
+    @given(st.integers(1, 8), st.data())
+    @settings(max_examples=80, deadline=None)
+    def test_coset_terms_on_random_subgroups(self, n, data):
+        a = Ambient(n)
+        H = rref_span(a, data.draw(st.lists(st.integers(0, a.size - 1), max_size=n)))
+        rng = rng_for(data.draw(st.integers(0, 2**32 - 1)))
+        density = data.draw(st.sampled_from([0.1, 0.5, 1.0]))
+        vals = rng.integers(-3, 4, a.size) * (rng.random(a.size) < density)
+        f = RealFn(a, vals.astype(float))
+        assert _extract_coset_terms(f, H) == reference_extract_coset_terms(f, H)
 
     @given(signed_flat_sums())
     @settings(max_examples=80, deadline=None)
