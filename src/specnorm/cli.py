@@ -10,8 +10,10 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import statistics
 import sys
+import tempfile
 import time
 
 import numpy as np
@@ -157,6 +159,8 @@ def cmd_bench(args) -> int:
         raise ValueError("n too large for this benchmark")
     if args.what == "psi" and args.n < 4:
         raise ValueError("bench psi needs n >= 4 (subgroups of dimension 2 and n - 4)")
+    if args.what == "io" and args.n < 2:
+        raise ValueError("bench io needs n >= 2 (a projection onto a dim-2 subgroup)")
     ambient = Ambient(args.n)  # the rest: n <= gf2.MAX_N
     rng = rng_for(args.seed)
     results = {}
@@ -181,6 +185,21 @@ def cmd_bench(args) -> int:
             stats = _bench_one(lambda: find_spectral_support(f, top, eta), args.reps)
             stats["steps"] = find_spectral_support(f, top, eta).steps_used
             results[name] = stats
+    elif args.what == "io":
+        # bits=, few distinct short real= tokens, dense 17-digit reals,
+        # and dense short tokens (reals to 5 decimals)
+        ring, _ = gen_coset_ring(ambient, 3, 2, rng)
+        reals = rng.uniform(-1, 1, ambient.size)
+        tables = {"coset-ring": ring,
+                  "projection": psi(ring, subgroup_of_dim(ambient, 2, rng)),
+                  "reals": RealFn(ambient, reals),
+                  "rounded": RealFn(ambient, reals.round(5))}
+        with tempfile.TemporaryDirectory() as tmp:
+            for name, f in tables.items():
+                path = os.path.join(tmp, name + ".txt")
+                stats = _bench_one(lambda: write_truth_table(path, f), args.reps)
+                results[f"write {name}"] = {**stats, "bytes": os.path.getsize(path)}
+                results[f"read {name}"] = _bench_one(lambda: read_truth_table(path), args.reps)
     else:
         f, _ = gen_coset_ring(ambient, 3, 2, rng)
         results["decompose"] = _bench_one(lambda: decompose(f), args.reps)
@@ -193,7 +212,7 @@ def cmd_bench(args) -> int:
             line = f"{args.what} n={args.n} [{name}] median={stats['median_s'] * 1e3:.3f}ms p90={stats['p90_s'] * 1e3:.3f}ms"
             if "points_per_s" in stats:
                 line += f" throughput={stats['points_per_s']:.3e} pts/s"
-            for key in ("dim", "steps"):
+            for key in ("dim", "steps", "bytes"):
                 if key in stats:
                     line += f" {key}={stats[key]}"
             print(line)
@@ -245,8 +264,9 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(fn=cmd_gen)
 
     sp = sub.add_parser(
-        "bench", help="time the transform, the spectral norm, psi, the support descent or decompose")
-    sp.add_argument("what", choices=["wht", "anorm", "psi", "support", "decompose"])
+        "bench", help="time the transform, the spectral norm, psi, the support descent, "
+        "truth-table files or decompose")
+    sp.add_argument("what", choices=["wht", "anorm", "psi", "support", "io", "decompose"])
     sp.add_argument("--n", type=int, default=16)
     sp.add_argument("--reps", type=int, default=5)
     sp.add_argument("--seed", type=int, default=0)

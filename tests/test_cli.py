@@ -1,10 +1,14 @@
 import json
+import os
+import tempfile
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import specnorm.io
 from specnorm import laws
 from specnorm.cli import (
     EXIT_BAD_INPUT,
@@ -16,7 +20,15 @@ from specnorm.cli import (
 from specnorm.fourier import RealFn
 from specnorm.generate import flat_indicator
 from specnorm.gf2 import Ambient, rref_span
-from specnorm.io import MalformedInput, _format_reals, read_truth_table, write_truth_table
+from specnorm.io import (
+    MAX_DISTINCT_TOKENS,
+    SHORT_TOKEN_BYTES,
+    MalformedInput,
+    _format_reals,
+    _short_reals,
+    read_truth_table,
+    write_truth_table,
+)
 from specnorm.spectral import psi
 
 
@@ -68,6 +80,145 @@ def coset_table(tmp_path):
     path = tmp_path / "coset.txt"
     write_truth_table(str(path), f)
     return str(path), f
+
+
+# files read_truth_table must refuse; each also gives exit 2 on the CLI
+MALFORMED = [
+    "",
+    "bits=1010\n",
+    "n=2\nbits=101\n",
+    "n=2\nbits=10102\n",
+    "n=0\nbits=\n",
+    "n=2\nreal=1.0 0.5 nan 0.0\n",
+    "n=2\nreal=1.0 0.5\n",
+    "n=2\nreal=1.0,0.5,0.0,0.0\n",
+    "n=2\nreal=1.0 0.5 0.0 0.0 x\n",
+    "n=2\nreal= \n \n",
+    "n=2\nbits=1010\n0101\n",  # content after the bits= line
+    b"n=2\nreal=1.0 \xff 0.0 0.0\n",  # not UTF-8
+    # syntax float() takes and np.fromstring refuses, or a non-finite value
+    "n=2\nreal=1_0 0.5 0.0 0.0\n",
+    "n=2\nreal=\u0661 0.5 0.0 0.0\n",  # ARABIC-INDIC DIGIT ONE
+    "n=2\nreal= infinity 0.5 0.0 0.0\n",
+    "n=2\nreal=1.0\x1c0.5 0.0 0.0\n",  # a separator to float(), not to fromstring
+    "n=2\nbits=10\u00e91\n",  # four characters, five bytes
+    "n=2\nbits=1021\n",
+]
+
+WHITESPACE = " \t\n\r\v\f"
+
+
+def reference_read_real(body, size):
+    """What read_truth_table gives for a real= body: np.fromstring(body,
+    sep=" ") when that parses to size finite values, None when the file
+    is malformed."""
+    try:
+        vals = np.fromstring(body, sep=" ")
+    except ValueError:
+        return None
+    if vals.size != size or not np.isfinite(vals).all():
+        return None
+    return vals
+
+
+def read_text(text):
+    """read_truth_table on a file holding text, or None on MalformedInput."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "f.txt")
+        with open(path, "wb") as fh:
+            fh.write(text.encode())
+        try:
+            return read_truth_table(path).values
+        except MalformedInput:
+            return None
+
+
+def assert_reads_like_fromstring(n, body):
+    want = reference_read_real(body, 1 << n)
+    got = read_text(f"n={n}\nreal={body}")
+    if want is None:
+        assert got is None
+    else:
+        assert got is not None and np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
+@st.composite
+def real_bodies(draw):
+    """(n, body, short): a real= body of a dyadic step table (short tokens)
+    or of uniform reals (17-digit tokens), its tokens separated by runs
+    of whitespace, with leading and trailing runs."""
+    n = draw(st.integers(1, 6))
+    short = draw(st.booleans())
+    if short:
+        ints = draw(st.lists(st.integers(-8, 8), min_size=1 << n, max_size=1 << n))
+        vals = np.array(ints, dtype=np.float64) / 2.0 ** draw(st.integers(0, 4))
+    else:
+        vals = np.random.default_rng(draw(st.integers(0, 2**32 - 1))).uniform(-1, 1, 1 << n)
+    runs = st.text(alphabet=WHITESPACE, min_size=1, max_size=4)
+    body = draw(st.text(alphabet=WHITESPACE, max_size=4))
+    for v in vals.tolist():
+        body += repr(v) + draw(runs)
+    return n, body, short
+
+
+# tokens over np.fromstring's number bytes: anything, and decimals
+FUZZ_TOKENS = st.one_of(
+    st.text(alphabet="0123456789.eE+-", min_size=1, max_size=SHORT_TOKEN_BYTES),
+    st.from_regex(r"[+-]?[0-9]{0,3}\.?[0-9]{0,3}([eE][+-]?[0-9]{1,3})?", fullmatch=True).filter(
+        lambda s: 0 < len(s) <= SHORT_TOKEN_BYTES),
+)
+
+
+class TestRealReader:
+    @given(real_bodies())
+    @settings(max_examples=200, deadline=None)
+    def test_bodies_read_like_fromstring(self, case):
+        n, body, short = case
+        assert_reads_like_fromstring(n, body)
+        # dyadic tokens take the keyed path, 17-digit ones go to fromstring
+        text = f"n={n}\nreal={body}"
+        assert (_short_reals(text, len(f"n={n}\nreal="), 1 << n) is not None) == short
+
+    @given(real_bodies(), st.integers(8, 40))
+    @settings(max_examples=200, deadline=None)
+    def test_small_chunks(self, case, chunk):
+        # chunk and lookup boundaries fall inside the body and its tokens'
+        # separator runs
+        n, body, short = case
+        with mock.patch.object(specnorm.io, "CHUNK_BYTES", chunk):
+            assert_reads_like_fromstring(n, body)
+            text = f"n={n}\nreal={body}"
+            assert (_short_reals(text, len(f"n={n}\nreal="), 1 << n) is not None) == short
+
+    @given(st.lists(FUZZ_TOKENS, min_size=4, max_size=4))
+    @settings(max_examples=300, deadline=None)
+    def test_token_fuzz(self, tokens):
+        assert_reads_like_fromstring(2, " ".join(tokens) + "\n")
+
+    @pytest.mark.parametrize("token, keyed", [("1.000000", True), ("1.0000000", False)])
+    def test_short_token_edge(self, token, keyed):
+        assert len(token) == SHORT_TOKEN_BYTES + (not keyed)
+        # the token first, and after a short one
+        for body in (f"{token} 0.5 {token} 0.25\n", f"0.5 {token} 0.25 {token}\n"):
+            text = "n=2\nreal=" + body
+            assert (_short_reals(text, len("n=2\nreal="), 4) is not None) == keyed
+            assert_reads_like_fromstring(2, body)
+
+    @pytest.mark.parametrize("extra, keyed", [(0, True), (1, False)])
+    def test_distinct_token_edge(self, extra, keyed):
+        # MAX_DISTINCT_TOKENS distinct tokens are keyed, one more goes to fromstring
+        n = 11
+        vals = np.arange(1 << n) % (MAX_DISTINCT_TOKENS + extra) / 4.0
+        body = " ".join(map(repr, vals.tolist()))
+        assert max(map(len, body.split())) <= SHORT_TOKEN_BYTES
+        text = f"n={n}\nreal={body}"
+        assert (_short_reals(text, len(f"n={n}\nreal="), 1 << n) is not None) == keyed
+        assert_reads_like_fromstring(n, body)
+
+    def test_too_many_tokens(self):
+        assert _short_reals("n=1\nreal=0.5 0.5 0.5\n", len("n=1\nreal="), 2) is None
+        assert read_text("n=1\nreal=0.5 0.5 0.5\n") is None
+        assert read_text("n=1\nreal=" + "0.5 " * 40) is None
 
 
 class TestTruthTableIO:
@@ -123,23 +274,7 @@ class TestTruthTableIO:
             bits = "".join("1" if v else "0" for v in vals)
             assert p.read_bytes() == f"n={n}\nbits={bits}\n".encode()
 
-    @pytest.mark.parametrize(
-        "text",
-        [
-            "",
-            "bits=1010\n",
-            "n=2\nbits=101\n",
-            "n=2\nbits=10102\n",
-            "n=0\nbits=\n",
-            "n=2\nreal=1.0 0.5 nan 0.0\n",
-            "n=2\nreal=1.0 0.5\n",
-            "n=2\nreal=1.0,0.5,0.0,0.0\n",
-            "n=2\nreal=1.0 0.5 0.0 0.0 x\n",
-            "n=2\nreal= \n \n",
-            "n=2\nbits=1010\n0101\n",  # content after the bits= line
-            b"n=2\nreal=1.0 \xff 0.0 0.0\n",  # not UTF-8
-        ],
-    )
+    @pytest.mark.parametrize("text", MALFORMED)
     def test_malformed(self, tmp_path, text):
         p = tmp_path / "bad.txt"
         p.write_bytes(text if isinstance(text, bytes) else text.encode())
@@ -337,17 +472,30 @@ class TestBenchCmd:
         assert [line.split()[2] for line in lines] == ["[coset-ring]", "[reals]"]
         assert lines[1].endswith(" steps=6")
 
+    def test_io_json(self, capsys):
+        assert main(["bench", "io", "--n", "8", "--reps", "2", "--json"]) == EXIT_OK
+        results = json.loads(capsys.readouterr().out)["results"]
+        names = ("coset-ring", "projection", "reals", "rounded")
+        assert list(results) == [f"{op} {name}" for name in names for op in ("write", "read")]
+        for stats in results.values():
+            assert stats["median_s"] > 0
+        sizes = [results[f"write {name}"]["bytes"] for name in names]
+        # bits=, then short real= tokens, then 17-digit ones, then at most 8 bytes
+        assert sizes[0] == len("n=8\nbits=\n") + 256 and sizes[0] < sizes[1] < sizes[2]
+        assert sizes[3] <= len("n=8\nreal=\n") + 9 * 256 < sizes[2]
+
     def test_too_large(self):
         assert main(["bench", "wht", "--n", "30"]) == EXIT_BAD_INPUT
 
-    @pytest.mark.parametrize("what", ["wht", "decompose", "psi", "support"])
+    @pytest.mark.parametrize("what", ["wht", "decompose", "psi", "support", "io"])
     def test_n_zero(self, what, capsys):
         assert main(["bench", what, "--n", "0"]) == EXIT_BAD_INPUT
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "Traceback" not in err
 
-    @pytest.mark.parametrize("what, n", [("psi", "3"), ("psi", "25"), ("support", "25")])
+    @pytest.mark.parametrize(
+        "what, n", [("psi", "3"), ("psi", "25"), ("support", "25"), ("io", "1")])
     def test_bad_n(self, what, n, capsys):
         # psi needs subgroups of dimension 2 and n - 4; n = 25 exceeds gf2.MAX_N
         assert main(["bench", what, "--n", n]) == EXIT_BAD_INPUT
@@ -411,6 +559,15 @@ def test_bad_flags_exit_2(argv, coset_table, tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("text", MALFORMED)
+def test_malformed_file_exit_2(tmp_path, capsys, text):
+    p = tmp_path / "bad.txt"
+    p.write_bytes(text if isinstance(text, bytes) else text.encode())
+    assert main(["anorm", "--input", str(p)]) == EXIT_BAD_INPUT
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
 
 
 class TestExitCodes:
