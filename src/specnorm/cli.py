@@ -19,7 +19,15 @@ import time
 import numpy as np
 
 from . import fourier, laws
-from .decompose import DecomposeParams, decompose, decomposition_json, exact_support_eta
+from .decompose import (
+    DecomposeParams,
+    _expand,
+    decompose,
+    decomposition_json,
+    evaluate,
+    exact_support_eta,
+    inductive_step,
+)
 from .fourier import RealFn, spectrum_to_json, wht
 from .generate import (
     flat_indicator,
@@ -31,7 +39,7 @@ from .generate import (
 )
 from .gf2 import Ambient, Subgroup, full
 from .io import _format_reals, read_truth_table, write_truth_table
-from .spectral import a_norm, find_spectral_support, psi
+from .spectral import a_norm, find_spectral_support, psi, round_to_int
 
 EXIT_OK = 0
 EXIT_LAW_FAILURE = 1
@@ -201,8 +209,14 @@ def cmd_bench(args) -> int:
                 results[f"write {name}"] = {**stats, "bytes": os.path.getsize(path)}
                 results[f"read {name}"] = _bench_one(lambda: read_truth_table(path), args.reps)
     else:
+        # the whole call, then its term expansion and its exactness check
         f, _ = gen_coset_ring(ambient, 3, 2, rng)
-        results["decompose"] = _bench_one(lambda: decompose(f), args.reps)
+        expr, _ = decompose(f)
+        terms = inductive_step(round_to_int(f)).terms
+        for name, op in (("decompose", lambda: decompose(f)),
+                         ("expand", lambda: _expand(ambient, terms)),
+                         ("evaluate", lambda: evaluate(expr))):
+            results[name] = {**_bench_one(op, args.reps), "L": expr.L}
     doc = {"what": args.what, "n": args.n, "reps": args.reps,
            "active_backend": fourier.BACKEND, "results": results}
     if args.json:
@@ -212,7 +226,7 @@ def cmd_bench(args) -> int:
             line = f"{args.what} n={args.n} [{name}] median={stats['median_s'] * 1e3:.3f}ms p90={stats['p90_s'] * 1e3:.3f}ms"
             if "points_per_s" in stats:
                 line += f" throughput={stats['points_per_s']:.3e} pts/s"
-            for key in ("dim", "steps", "bytes"):
+            for key in ("dim", "steps", "bytes", "L"):
                 if key in stats:
                     line += f" {key}={stats[key]}"
             print(line)

@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .fourier import RealFn
-from .gf2 import Ambient, Subgroup, full, rref_span, trivial
+from .gf2 import Ambient, Subgroup, _gray_elements, full, trivial
 from .spectral import (
     AlmostIntFn,
     NotAlmostInteger,
@@ -108,40 +108,94 @@ class SplitOutcome:
 def _extract_coset_terms(f_int: RealFn, H: Subgroup) -> tuple[SignedCosetTerm, ...]:
     """One term per H-coset with a nonzero value, in increasing order of
     the coset's smallest element."""
-    vals = np.rint(f_int.values).astype(np.int64)
     reps = _coset_minima(H)
+    vals = np.rint(f_int.values[reps]).astype(np.int64)
+    keep = vals != 0
     return tuple(
-        SignedCosetTerm(coeff=int(vals[r]), rep=int(r), H=H)
-        for r in reps[vals[reps] != 0]
+        SignedCosetTerm(c, r, H)
+        for c, r in zip(vals[keep].tolist(), reps[keep].tolist())
     )
+
+
+def _joins(H: Subgroup, minima: list[int]) -> list[Subgroup]:
+    """<H, r> in canonical RREF for each nonzero coset minimum r of H
+    (Subgroup.reduce).
+
+    r has every pivot bit of H clear, so its top bit p is a new pivot.
+    A word w of H with bit p set has w ^ r < w, and w ^ r keeps w's pivot
+    and clears bit p; so min(w, w ^ r) for each word of H, and r, sorted
+    in descending order, are the RREF of <H, r>.  All the minima make one
+    (m, dim H + 1) basis matrix.
+    """
+    if not minima:
+        return []
+    basis = np.array(H.basis, dtype=np.int64)
+    reps = np.array(minima, dtype=np.int64)
+    rows = np.empty((reps.size, basis.size + 1), dtype=np.int64)
+    np.minimum(basis, basis ^ reps[:, None], out=rows[:, 1:])
+    rows[:, 0] = reps
+    rows.sort(axis=1)
+    return [Subgroup(H.ambient, tuple(row)) for row in rows[:, ::-1].tolist()]
 
 
 def coset_to_subgroups(term: SignedCosetTerm) -> list[SubgroupTerm]:
     """1_{x+H} = 1_<H,x> - 1_H when x is outside H, repeated |coeff| times."""
-    s = 1 if term.coeff > 0 else -1
-    out = []
-    if term.H.contains(term.rep):
-        out.extend([SubgroupTerm(s, term.H)] * abs(term.coeff))
-    else:
-        bigger = rref_span(term.H.ambient, list(term.H.basis) + [term.rep])
-        for _ in range(abs(term.coeff)):
-            out.append(SubgroupTerm(s, bigger))
-            out.append(SubgroupTerm(-s, term.H))
-    return out
+    H = term.H
+    rep = H.reduce(H.ambient.check_point(term.rep))
+    return list(_expand(H.ambient, (SignedCosetTerm(term.coeff, rep, H),)).terms)
 
 
 def evaluate(expr: CosetRingExpr) -> RealFn:
-    out = np.zeros(expr.ambient.size)
+    """The table of sum_j sign_j 1_{H_j}.
+
+    Equal subgroups have their signs summed first.  One or two distinct
+    subgroups are added directly; more are enumerated one stacked
+    Gray-code pass per dimension and added by one bincount.  Every sum
+    is a small integer, which float64 adds exactly, so the table is bit
+    for bit the one that adding the terms one at a time gives.
+    """
+    coeffs: dict[tuple, int] = {}
     for t in expr.terms:
-        out[t.H.element_array()] += t.sign
-    return RealFn(expr.ambient, out)
+        coeffs[t.H.basis] = coeffs.get(t.H.basis, 0) + t.sign
+    live = [(basis, c) for basis, c in coeffs.items() if c]
+    if len(live) <= 2:
+        out = np.zeros(expr.ambient.size)
+        for basis, c in live:
+            out[_gray_elements(np.array(basis, dtype=np.int64))] += c
+        return RealFn._unchecked(expr.ambient, out)
+    by_dim: dict[int, list] = {}
+    for basis, c in live:
+        by_dim.setdefault(len(basis), []).append((basis, c))
+    elems, weights = [], []
+    for d, group in by_dim.items():
+        bases, cs = zip(*group)
+        elems.append(_gray_elements(np.array(bases, dtype=np.int64)).ravel())
+        weights.append(np.repeat(np.array(cs, dtype=np.float64), 1 << d))
+    out = np.bincount(
+        np.concatenate(elems), weights=np.concatenate(weights),
+        minlength=expr.ambient.size,
+    )
+    if out.size != expr.ambient.size:  # as indexing the table would raise
+        raise IndexError("a term's subgroup has points outside the ambient")
+    return RealFn._unchecked(expr.ambient, out)
 
 
 def _expand(ambient: Ambient, terms) -> CosetRingExpr:
-    """The subgroup expression of signed coset terms, in their order."""
-    return CosetRingExpr(
-        ambient, tuple(t for ct in terms for t in coset_to_subgroups(ct))
-    )
+    """The subgroup expression of signed coset terms on one subgroup H,
+    each rep the minimum of its coset, in their order: a term at rep 0
+    gives |coeff| copies of +-H, any other |coeff| copies of the pair
+    +-<H, rep>, -+H."""
+    if not terms:
+        return CosetRingExpr(ambient, ())
+    H = terms[0].H
+    joins = iter(_joins(H, [t.rep for t in terms if t.rep]))
+    signed_H = {1: SubgroupTerm(1, H), -1: SubgroupTerm(-1, H)}
+    out = []
+    for t in terms:
+        s = 1 if t.coeff > 0 else -1
+        once = [SubgroupTerm(s, next(joins)), signed_H[-s]] if t.rep else [signed_H[s]]
+        out.extend(once * abs(t.coeff))
+    return CosetRingExpr(ambient, tuple(out))
 
 
 def trivial_expr(f_int: RealFn) -> CosetRingExpr:
@@ -166,10 +220,10 @@ def inductive_step(f: AlmostIntFn) -> SplitOutcome:
     return SplitOutcome(
         certificate=cert,
         terms=_extract_coset_terms(f_int, cert.subgroup),
-        a_norm_before=float(np.sum(mass)),
+        a_norm_before=float(mass.sum()),
         a_norm_parts=(
-            float(np.sum(np.where(on, mass, 0.0))),
-            float(np.sum(np.where(on, 0.0, mass))),
+            float(np.where(on, mass, 0.0).sum()),
+            float(np.where(on, 0.0, mass).sum()),
         ),
     )
 
@@ -195,9 +249,8 @@ def decompose(
     )
     expr = _expand(f.ambient, outcome.terms)
     report.L = expr.L
-    got = np.rint(evaluate(expr).values).astype(np.int64)
-    want = np.rint(base.f_int.values).astype(np.int64)
-    report.exact = bool(np.array_equal(got, want))
+    # both tables hold integers, so == is the exactness test
+    report.exact = bool(np.array_equal(evaluate(expr).values, base.f_int.values))
     return expr, report
 
 

@@ -90,6 +90,15 @@ class RealFn:
     def __post_init__(self):
         object.__setattr__(self, "values", _as_table(self.ambient, self.values))
 
+    @classmethod
+    def _unchecked(cls, ambient: Ambient, values: np.ndarray) -> "RealFn":
+        """A RealFn on a float64 (2^n,) table that the library built from
+        finite input, without _as_table's checks."""
+        fn = object.__new__(cls)
+        object.__setattr__(fn, "ambient", ambient)
+        object.__setattr__(fn, "values", values)
+        return fn
+
     def _check(self, other: "RealFn") -> None:
         if self.ambient != other.ambient:
             raise AmbientMismatch("functions on different ambients")

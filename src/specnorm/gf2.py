@@ -95,11 +95,7 @@ class Subgroup:
         return [int(v) for v in self.element_array()]
 
     def element_array(self) -> np.ndarray:
-        out = np.zeros(1, dtype=np.int64)
-        for b in self.basis:
-            # reflected Gray code: consecutive entries differ in one basis word
-            out = np.concatenate((out, out[::-1] ^ b))
-        return out
+        return _gray_elements(np.array(self.basis, dtype=np.int64))
 
     def mask(self) -> np.ndarray:
         """Dense boolean membership table over the ambient group."""
@@ -145,6 +141,20 @@ class Subgroup:
         return rref_span(ambient, [point_from_hex(s) for s in data])
 
 
+def _gray_elements(bases: np.ndarray) -> np.ndarray:
+    """The 2^d elements of the span of a (d,) int64 basis, or of each row
+    of an (m, d) stack of bases, in reflected Gray-code order over the
+    basis combinations: entry i + 2^k is entry 2^k - 1 - i XOR word k, so
+    consecutive entries differ in one basis word.  One preallocated array,
+    one XOR pass per basis word."""
+    d = bases.shape[-1]
+    out = np.zeros(bases.shape[:-1] + (1 << d,), dtype=np.int64)
+    for k in range(d):
+        h = 1 << k
+        np.bitwise_xor(out[..., h - 1::-1], bases[..., k, None], out=out[..., h:2 * h])
+    return out
+
+
 def rref_span(ambient: Ambient, generators) -> Subgroup:
     """Canonical subgroup spanned by the given points."""
     gens = [ambient.check_point(int(g)) for g in generators]
@@ -156,7 +166,8 @@ def trivial(ambient: Ambient) -> Subgroup:
 
 
 def full(ambient: Ambient) -> Subgroup:
-    return rref_span(ambient, [1 << i for i in range(ambient.n)])
+    # the unit words, in descending order, are already the canonical RREF
+    return Subgroup(ambient, tuple(1 << i for i in reversed(range(ambient.n))))
 
 
 def point_to_hex(x: int) -> str:

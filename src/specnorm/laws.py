@@ -20,7 +20,10 @@ does not depend on the block size.  TRIAL_BLOCK_ENTRIES = 2^15 is sized
 by peak RSS: on the perfbench decompose-laws workload it peaked at
 42.3-42.4 MB, as the per-trial loops did, where blocks of 2^16 entries
 peaked at 43.4-43.8 MB and of 2^18 at 51.4 MB, for no clear gain in
-speed (BENCH_11.json).
+speed (BENCH_11.json).  Blocks of 2^14 entries take about 700 minor page
+faults over eight rounds of the sampled checks at their perfbench sizes,
+against about 213,000, and plunnecke runs faster; but approx-hom at n = 8
+ran slower in most paired runs, so the size stays (BENCH_17.json).
 
 The checks compute no quantity of their own that the library owns: each
 |transform| comes from spectral._abs_spectrum (an A-norm is its row sum),

@@ -212,8 +212,8 @@ def _descent(sums: np.ndarray, H: Subgroup, eta: float) -> SupportCertificate:
             worst, rep = 0.0, 0
             break
         off = sums[1:]
-        worst = float(np.max(off))
-        c = 1 + int(np.argmax(off >= worst - TIE_SLACK))
+        worst = float(off.max())
+        c = 1 + int((off >= worst - TIE_SLACK).argmax())
         rep = sum(1 << free[k] for k in range(c.bit_length()) if (c >> k) & 1)
         if worst <= eta:
             break
@@ -266,4 +266,5 @@ def round_to_int(f: RealFn) -> AlmostIntFn:
     eps = float(np.max(np.abs(f.values - rounded))) if f.values.size else 0.0
     if eps >= ROUND_GUARD:
         raise NotAlmostInteger(f"max deviation {eps} >= {ROUND_GUARD}")
-    return AlmostIntFn(f=f, f_int=RealFn(f.ambient, rounded), eps=eps)
+    # rint of a finite table is finite
+    return AlmostIntFn(f=f, f_int=RealFn._unchecked(f.ambient, rounded), eps=eps)

@@ -18,7 +18,8 @@ from specnorm.cli import (
     main,
 )
 from specnorm.fourier import RealFn
-from specnorm.generate import flat_indicator
+from specnorm.decompose import decompose
+from specnorm.generate import flat_indicator, gen_coset_ring, rng_for
 from specnorm.gf2 import Ambient, rref_span
 from specnorm.io import (
     MAX_DISTINCT_TOKENS,
@@ -443,7 +444,19 @@ class TestBenchCmd:
     def test_decompose_text(self, capsys):
         code = main(["bench", "decompose", "--n", "8", "--reps", "2"])
         assert code == EXIT_OK
-        assert "median=" in capsys.readouterr().out
+        lines = capsys.readouterr().out.splitlines()
+        assert [line.split()[2] for line in lines] == ["[decompose]", "[expand]", "[evaluate]"]
+        assert all("median=" in line and " L=" in line for line in lines)
+
+    def test_decompose_json(self, capsys):
+        assert main(["bench", "decompose", "--n", "8", "--reps", "2", "--json"]) == EXIT_OK
+        results = json.loads(capsys.readouterr().out)["results"]
+        assert list(results) == ["decompose", "expand", "evaluate"]
+        f, _ = gen_coset_ring(Ambient(8), 3, 2, rng_for(0))
+        L = decompose(f)[0].L
+        for stats in results.values():
+            assert stats["median_s"] > 0 and stats["p90_s"] >= stats["median_s"]
+            assert stats["L"] == L
 
     def test_psi_json(self, capsys):
         code = main(["bench", "psi", "--n", "9", "--reps", "2", "--json"])

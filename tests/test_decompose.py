@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 from specnorm.decompose import (
     CosetRingExpr,
     _extract_coset_terms,
+    _joins,
     DecomposeParams,
     SignedCosetTerm,
     SubgroupTerm,
@@ -20,7 +21,7 @@ from specnorm.decompose import (
 from specnorm.fourier import RealFn
 from specnorm.generate import flat_indicator, gen_coset_ring, random_flat, rng_for
 from specnorm.gf2 import Ambient, rref_span, trivial
-from specnorm.spectral import NotAlmostInteger, a_norm, psi, round_to_int
+from specnorm.spectral import NotAlmostInteger, _coset_minima, a_norm, psi, round_to_int
 
 
 EPS0 = DecomposeParams().eps0
@@ -322,3 +323,120 @@ class TestDecomposeProperties:
         want, _ = decompose(RealFn(f.ambient, np.rint(f.values)))
         assert rep.exact
         assert got.terms == want.terms
+
+
+@st.composite
+def subgroups_of(draw, max_n=9):
+    n = draw(st.integers(1, max_n))
+    a = Ambient(n)
+    return rref_span(a, draw(st.lists(st.integers(0, a.size - 1), max_size=n)))
+
+
+def reference_evaluate(expr):
+    """The table built one term at a time, in term order."""
+    out = np.zeros(expr.ambient.size)
+    for t in expr.terms:
+        out[t.H.element_array()] += t.sign
+    return out
+
+
+class TestRrefInsertion:
+    @given(subgroups_of())
+    @settings(max_examples=80, deadline=None)
+    def test_every_coset_minimum(self, H):
+        minima = [int(r) for r in _coset_minima(H)[1:]]
+        want = [rref_span(H.ambient, list(H.basis) + [r]) for r in minima]
+        assert _joins(H, minima) == want
+
+    @given(subgroups_of(), st.data())
+    @settings(max_examples=80, deadline=None)
+    def test_any_rep(self, H, data):
+        """A rep that is not a coset minimum, and rep 0, through the
+        public coset_to_subgroups."""
+        rep = data.draw(st.integers(0, H.ambient.size - 1))
+        coeff = data.draw(st.sampled_from([-2, -1, 1, 3]))
+        s = 1 if coeff > 0 else -1
+        got = coset_to_subgroups(SignedCosetTerm(coeff, rep, H))
+        if H.contains(rep):
+            assert got == [SubgroupTerm(s, H)] * abs(coeff)
+        else:
+            bigger = rref_span(H.ambient, list(H.basis) + [rep])
+            assert got == [SubgroupTerm(s, bigger), SubgroupTerm(-s, H)] * abs(coeff)
+
+    def test_rep_zero_and_unreduced(self):
+        a = Ambient(5)
+        H = rref_span(a, [0b00011, 0b01100])
+        assert coset_to_subgroups(SignedCosetTerm(1, 0, H)) == [SubgroupTerm(1, H)]
+        # 0b10011 reduces to 0b10000; either gives the same join
+        want = rref_span(a, [0b00011, 0b01100, 0b10000])
+        assert coset_to_subgroups(SignedCosetTerm(-1, 0b10011, H)) == [
+            SubgroupTerm(-1, want), SubgroupTerm(1, H)]
+        with pytest.raises(ValueError):
+            coset_to_subgroups(SignedCosetTerm(1, 32, H))
+
+
+@st.composite
+def subgroup_exprs(draw, max_n=8):
+    """Signed subgroup terms of mixed dimensions, with repeats and with
+    +-H pairs that cancel."""
+    n = draw(st.integers(1, max_n))
+    a = Ambient(n)
+    words = st.lists(st.integers(0, a.size - 1), max_size=n)
+    pool = [rref_span(a, draw(words)) for _ in range(draw(st.integers(1, 6)))]
+    terms = []
+    for _ in range(draw(st.integers(0, 30))):
+        H = draw(st.sampled_from(pool))
+        s = draw(st.sampled_from([-1, 1]))
+        terms.append(SubgroupTerm(s, H))
+        if draw(st.booleans()):
+            terms.append(SubgroupTerm(-s, H))
+    return CosetRingExpr(a, tuple(draw(st.permutations(terms))))
+
+
+class TestEvaluate:
+    @given(subgroup_exprs())
+    @settings(max_examples=150, deadline=None)
+    def test_bitwise_equal_to_term_by_term(self, expr):
+        got = evaluate(expr).values
+        want = reference_evaluate(expr)
+        assert got.dtype == np.float64 and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("n", [1, 4])
+    def test_empty_expression(self, n):
+        a = Ambient(n)
+        got = evaluate(CosetRingExpr(a, ())).values
+        assert got.tobytes() == np.zeros(a.size).tobytes()
+
+    def test_cancelling_to_zero(self):
+        a = Ambient(4)
+        Hs = [rref_span(a, g) for g in ([1], [2, 4], [8], [1, 2, 4, 8])]
+        expr = CosetRingExpr(a, tuple(SubgroupTerm(s, H) for H in Hs for s in (1, -1)))
+        got = evaluate(expr).values
+        assert got.tobytes() == np.zeros(a.size).tobytes()  # +0.0 everywhere
+
+    @pytest.mark.parametrize("count", [1, 3])
+    def test_subgroup_outside_the_ambient(self, count):
+        big = Ambient(5)
+        Hs = [rref_span(big, [16 + k]) for k in range(count)]
+        with pytest.raises(IndexError):
+            evaluate(CosetRingExpr(Ambient(4), tuple(SubgroupTerm(1, H) for H in Hs)))
+
+    @given(signed_flat_sums())
+    @settings(max_examples=40, deadline=None)
+    def test_decompose_output(self, f):
+        expr, _ = decompose(f)
+        assert evaluate(expr).values.tobytes() == reference_evaluate(expr).tobytes()
+
+
+class TestLibraryBuiltTables:
+    """round_to_int and evaluate skip _as_table's scan; the public
+    constructor keeps it (test_fourier.TestTableValidation)."""
+
+    def test_round_to_int_and_evaluate_give_float_tables(self):
+        f = outside_coset(6, 17)
+        base = round_to_int(f)
+        expr, _ = decompose(f)
+        for table in (base.f_int.values, evaluate(expr).values):
+            assert table.dtype == np.float64 and table.shape == (f.ambient.size,)
+        assert np.array_equal(evaluate(expr).values, base.f_int.values)

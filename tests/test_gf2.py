@@ -7,6 +7,7 @@ from specnorm.gf2 import (
     Ambient,
     AmbientMismatch,
     Subgroup,
+    _gray_elements,
     full,
     rref_span,
     trivial,
@@ -118,6 +119,11 @@ class TestAnnihilator:
         assert full(a).annihilator() == trivial(a)
         assert trivial(a).annihilator() == full(a)
 
+    @pytest.mark.parametrize("n", [1, 2, 7, 24])
+    def test_full_is_the_span_of_the_unit_words(self, n):
+        a = Ambient(n)
+        assert full(a) == rref_span(a, [1 << i for i in range(n)])
+
     def test_double_annihilator(self):
         H = rref_span(Ambient(3), [0b011, 0b100])
         assert H.annihilator().annihilator() == H
@@ -211,6 +217,38 @@ class TestEnumerate:
         assert got.dtype == np.int64
         assert np.array_equal(got, self.gray_loop(H))
         assert H.elements() == [int(v) for v in got]
+
+    @staticmethod
+    def concatenation_order(H):
+        """Reference order: append the reversed list XOR each basis word."""
+        out = np.zeros(1, dtype=np.int64)
+        for b in H.basis:
+            out = np.concatenate((out, out[::-1] ^ b))
+        return out
+
+    @pytest.mark.parametrize("dim", range(13))
+    def test_matches_concatenation_order(self, dim):
+        rng = np.random.default_rng(100 + dim)
+        a = Ambient(14)
+        H = trivial(a)
+        while H.dim < dim:
+            H = rref_span(a, list(H.basis) + [int(rng.integers(1, a.size))])
+        assert np.array_equal(H.element_array(), self.concatenation_order(H))
+
+    @given(st.integers(0, 6), st.integers(1, 5), st.integers(0, 2**32 - 1))
+    @settings(max_examples=50, deadline=None)
+    def test_stacked_rows_match_each_subgroup(self, dim, m, seed):
+        rng = np.random.default_rng(seed)
+        a = Ambient(8)
+        Hs = []
+        while len(Hs) < m:
+            H = rref_span(a, rng.integers(1, a.size, dim).tolist())
+            if H.dim == dim:
+                Hs.append(H)
+        rows = _gray_elements(np.array([H.basis for H in Hs], dtype=np.int64).reshape(m, dim))
+        assert rows.shape == (m, 1 << dim)
+        for row, H in zip(rows, Hs):
+            assert np.array_equal(row, self.concatenation_order(H))
 
     @given(st.integers(1, 8).flatmap(lambda n: subgroups(n)))
     @settings(max_examples=50, deadline=None)
