@@ -47,9 +47,7 @@ from .decompose import (
     CosetRingExpr,
     DecomposeParams,
     DecomposeReport,
-    SignedCosetTerm,
     SubgroupTerm,
-    coset_to_subgroups,
     decompose,
     evaluate,
     inductive_step,

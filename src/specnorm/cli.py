@@ -163,6 +163,8 @@ def _bench_one(fn, reps: int) -> dict:
 
 
 def cmd_bench(args) -> int:
+    if args.reps < 1:
+        raise ValueError(f"--reps must be >= 1, got {args.reps}")
     if args.what == "decompose" and args.n > 12:
         raise ValueError("n too large for this benchmark")
     if args.what == "psi" and args.n < 4:
@@ -212,9 +214,10 @@ def cmd_bench(args) -> int:
         # the whole call, then its term expansion and its exactness check
         f, _ = gen_coset_ring(ambient, 3, 2, rng)
         expr, _ = decompose(f)
-        terms = inductive_step(round_to_int(f)).terms
+        step = inductive_step(round_to_int(f))
+        H = step.certificate.subgroup
         for name, op in (("decompose", lambda: decompose(f)),
-                         ("expand", lambda: _expand(ambient, terms)),
+                         ("expand", lambda: _expand(H, step.reps, step.coeffs)),
                          ("evaluate", lambda: evaluate(expr))):
             results[name] = {**_bench_one(op, args.reps), "L": expr.L}
     doc = {"what": args.what, "n": args.n, "reps": args.reps,

@@ -6,14 +6,14 @@ represents, transforms it once, and makes one descent on that
 |f_int-hat| table, which also gives the split norms it reports.  The
 transform of an integer table is exact dyadic arithmetic, and every
 |f_int-hat(r)| is a multiple of 2^-n, so every off-dual coset mass is
-either exactly 0 or at least 2^-n.  The greedy spectral-support descent from the full group, run with
-eta below 2^-n, therefore stops only when the dual spans the support of
-f_int-hat.  Each step adds one dimension to the dual, so it takes at
-most n steps, and it lands on H', the largest subgroup that f_int is
-periodic under.  f_int is constant on H'-cosets, so it collapses to
-signed coset terms and then to subgroup indicators via
-1_{x+H} = 1_<H,x> - 1_H.  A final evaluation checks the result is
-exact.
+either exactly 0 or at least 2^-n.  The greedy spectral-support descent
+from the full group, run with eta below 2^-n, therefore stops only when
+the dual spans the support of f_int-hat.  Each step adds one dimension
+to the dual, so it takes at most n steps, and it lands on H', the
+largest subgroup that f_int is periodic under.  f_int is constant on
+H'-cosets, so it collapses to two arrays, the coset minima and its
+values there, and then to subgroup indicators via 1_{x+H} = 1_<H,x> -
+1_H.  A final evaluation checks the result is exact.
 """
 
 from __future__ import annotations
@@ -23,16 +23,19 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .fourier import RealFn
-from .gf2 import Ambient, Subgroup, _gray_elements, full, trivial
+from .gf2 import Ambient, Subgroup, _gray_elements, _joins, full, trivial
 from .spectral import (
     AlmostIntFn,
     NotAlmostInteger,
     SupportCertificate,
     _abs_spectrum,
-    _coset_minima,
     _descent,
     round_to_int,
 )
+
+# Most terms an expansion may have: the point-mass count of a boolean
+# table at gf2.MAX_N, 1 + 2 (2^24 - 1), is below it.
+MAX_TERMS = 2**25
 
 
 @dataclass(frozen=True)
@@ -52,13 +55,6 @@ class CosetRingExpr:
 
     def to_json(self) -> list[dict]:
         return [{"sign": t.sign, "basis": t.H.to_json()} for t in self.terms]
-
-
-@dataclass(frozen=True)
-class SignedCosetTerm:
-    coeff: int
-    rep: int
-    H: Subgroup
 
 
 def exact_support_eta(ambient: Ambient) -> float:
@@ -97,52 +93,35 @@ class DecomposeReport:
 @dataclass(frozen=True)
 class SplitOutcome:
     """One descent on rint(f) and the split f_int = f1 + f2 it induces,
-    with f1 = psi_{H'} f_int and f2 = 0."""
+    with f1 = psi_{H'} f_int and f2 = 0, and f_int's nonzero H'-cosets as
+    their minima (reps) and values (coeffs)."""
 
     certificate: SupportCertificate
-    terms: tuple[SignedCosetTerm, ...]
+    reps: np.ndarray
+    coeffs: np.ndarray
     a_norm_before: float
     a_norm_parts: tuple[float, float]
 
 
-def _extract_coset_terms(f_int: RealFn, H: Subgroup) -> tuple[SignedCosetTerm, ...]:
-    """One term per H-coset with a nonzero value, in increasing order of
-    the coset's smallest element."""
-    reps = _coset_minima(H)
-    vals = np.rint(f_int.values[reps]).astype(np.int64)
-    keep = vals != 0
-    return tuple(
-        SignedCosetTerm(c, r, H)
-        for c, r in zip(vals[keep].tolist(), reps[keep].tolist())
-    )
+def _extract_coset_terms(f_int: RealFn, H: Subgroup) -> tuple[np.ndarray, np.ndarray]:
+    """The minima of the H-cosets where f_int is nonzero, in increasing
+    order, and f_int's values there as int64.
 
-
-def _joins(H: Subgroup, minima: list[int]) -> list[Subgroup]:
-    """<H, r> in canonical RREF for each nonzero coset minimum r of H
-    (Subgroup.reduce).
-
-    r has every pivot bit of H clear, so its top bit p is a new pivot.
-    A word w of H with bit p set has w ^ r < w, and w ^ r keeps w's pivot
-    and clears bit p; so min(w, w ^ r) for each word of H, and r, sorted
-    in descending order, are the RREF of <H, r>.  All the minima make one
-    (m, dim H + 1) basis matrix.
+    Raises ValueError when the expansion would have more than MAX_TERMS
+    terms, L = |c_0| + 2 sum_{r != 0} |c_r|, counted in floats before
+    any int64 cast.
     """
-    if not minima:
-        return []
-    basis = np.array(H.basis, dtype=np.int64)
-    reps = np.array(minima, dtype=np.int64)
-    rows = np.empty((reps.size, basis.size + 1), dtype=np.int64)
-    np.minimum(basis, basis ^ reps[:, None], out=rows[:, 1:])
-    rows[:, 0] = reps
-    rows.sort(axis=1)
-    return [Subgroup(H.ambient, tuple(row)) for row in rows[:, ::-1].tolist()]
-
-
-def coset_to_subgroups(term: SignedCosetTerm) -> list[SubgroupTerm]:
-    """1_{x+H} = 1_<H,x> - 1_H when x is outside H, repeated |coeff| times."""
-    H = term.H
-    rep = H.reduce(H.ambient.check_point(term.rep))
-    return list(_expand(H.ambient, (SignedCosetTerm(term.coeff, rep, H),)).terms)
+    reps = H.coset_minima()
+    vals = np.rint(f_int.values[reps])
+    keep = vals != 0
+    reps, vals = reps[keep], vals[keep]
+    mass = np.abs(vals)
+    at_zero = float(mass[0]) if reps.size and reps[0] == 0 else 0.0
+    # in Python floats, where a product past float64's range is inf, unwarned
+    L = 2.0 * float(mass.sum()) - at_zero
+    if not L <= MAX_TERMS:
+        raise ValueError(f"the expansion needs {L:.6g} terms, more than MAX_TERMS = {MAX_TERMS}")
+    return reps, vals.astype(np.int64)
 
 
 def evaluate(expr: CosetRingExpr) -> RealFn:
@@ -180,28 +159,25 @@ def evaluate(expr: CosetRingExpr) -> RealFn:
     return RealFn._unchecked(expr.ambient, out)
 
 
-def _expand(ambient: Ambient, terms) -> CosetRingExpr:
-    """The subgroup expression of signed coset terms on one subgroup H,
-    each rep the minimum of its coset, in their order: a term at rep 0
-    gives |coeff| copies of +-H, any other |coeff| copies of the pair
-    +-<H, rep>, -+H."""
-    if not terms:
-        return CosetRingExpr(ambient, ())
-    H = terms[0].H
-    joins = iter(_joins(H, [t.rep for t in terms if t.rep]))
+def _expand(H: Subgroup, reps: np.ndarray, coeffs: np.ndarray) -> CosetRingExpr:
+    """The subgroup expression of coeffs[i] 1_{reps[i] + H}, each rep an
+    int64 coset minimum of H, in their order: rep 0 gives |coeff| copies
+    of +-H, any other rep |coeff| copies of the pair +-<H, rep>, -+H."""
+    joins = iter(_joins(H, reps[reps != 0]))
     signed_H = {1: SubgroupTerm(1, H), -1: SubgroupTerm(-1, H)}
     out = []
-    for t in terms:
-        s = 1 if t.coeff > 0 else -1
-        once = [SubgroupTerm(s, next(joins)), signed_H[-s]] if t.rep else [signed_H[s]]
-        out.extend(once * abs(t.coeff))
-    return CosetRingExpr(ambient, tuple(out))
+    for r, c in zip(reps.tolist(), coeffs.tolist()):
+        s = 1 if c > 0 else -1
+        once = [SubgroupTerm(s, next(joins)), signed_H[-s]] if r else [signed_H[s]]
+        out.extend(once * abs(c))
+    return CosetRingExpr(H.ambient, tuple(out))
 
 
 def trivial_expr(f_int: RealFn) -> CosetRingExpr:
     """Point-mass expression: every nonzero value as cosets of {0}, the
     baseline that decompose's L is measured against."""
-    return _expand(f_int.ambient, _extract_coset_terms(f_int, trivial(f_int.ambient)))
+    H = trivial(f_int.ambient)
+    return _expand(H, *_extract_coset_terms(f_int, H))
 
 
 def inductive_step(f: AlmostIntFn) -> SplitOutcome:
@@ -211,20 +187,21 @@ def inductive_step(f: AlmostIntFn) -> SplitOutcome:
 
     One |f_int-hat| table, the one transform of a decompose, feeds both
     the descent and the split norms: f1 = psi_{H'} f_int has the part of
-    the spectrum on H'^perp and f2 = f_int - f1 the part off it.
+    the spectrum on D = H'^perp and f2 = f_int - f1 the part off it.  The
+    descent stops only when every off-D coset mass is at most eta, so
+    exactly 0, and those masses are sums of entries >= 0; so every entry
+    off D is +0.0.  The table with its off-D entries zeroed is then the
+    table itself, entry for entry, and its sum is ||f_int||_A to the bit:
+    the parts are (||f_int||_A, 0.0) without a mask of D.
     """
     f_int = f.f_int
     mass = _abs_spectrum(f_int.values)
     cert = _descent(mass, full(f_int.ambient), exact_support_eta(f_int.ambient))
-    on = cert.subgroup.annihilator().mask()
+    reps, coeffs = _extract_coset_terms(f_int, cert.subgroup)
+    a_norm = float(mass.sum())
     return SplitOutcome(
-        certificate=cert,
-        terms=_extract_coset_terms(f_int, cert.subgroup),
-        a_norm_before=float(mass.sum()),
-        a_norm_parts=(
-            float(np.where(on, mass, 0.0).sum()),
-            float(np.where(on, 0.0, mass).sum()),
-        ),
+        certificate=cert, reps=reps, coeffs=coeffs,
+        a_norm_before=a_norm, a_norm_parts=(a_norm, 0.0),
     )
 
 
@@ -247,7 +224,7 @@ def decompose(
             "eps_level": params.eps0,
         }
     )
-    expr = _expand(f.ambient, outcome.terms)
+    expr = _expand(outcome.certificate.subgroup, outcome.reps, outcome.coeffs)
     report.L = expr.L
     # both tables hold integers, so == is the exactness test
     report.exact = bool(np.array_equal(evaluate(expr).values, base.f_int.values))

@@ -77,6 +77,8 @@ def gen_coset_ring(
     """
     if flats < 1:
         raise ValueError("need at least one flat")
+    if depth < 0:
+        raise ValueError(f"depth must be >= 0, got {depth}")
     parts = []
     record_flats = []
     for _ in range(flats):

@@ -97,6 +97,23 @@ class Subgroup:
     def element_array(self) -> np.ndarray:
         return _gray_elements(np.array(self.basis, dtype=np.int64))
 
+    def free_bits(self) -> list[int]:
+        """The bit positions that are not RREF pivots, in increasing order."""
+        pivots = {b.bit_length() - 1 for b in self.basis}
+        return [j for j in range(self.ambient.n) if j not in pivots]
+
+    def coset_minima(self) -> np.ndarray:
+        """The smallest member of each coset, in increasing order: every
+        word with all the RREF pivot bits clear (reduce).
+
+        Built by doubling over the free bits from the lowest up, so entry i
+        sets free bit free_bits()[k] exactly when i sets bit k.
+        """
+        out = np.zeros(1, dtype=np.int64)
+        for j in self.free_bits():
+            out = np.concatenate((out, out | (1 << j)))
+        return out
+
     def mask(self) -> np.ndarray:
         """Dense boolean membership table over the ambient group."""
         m = np.zeros(self.ambient.size, dtype=bool)
@@ -105,12 +122,9 @@ class Subgroup:
 
     def annihilator(self) -> "Subgroup":
         """H^perp: all r with parity(r AND h) = 0 for every h in H."""
-        n = self.ambient.n
         pivot_bits = {b.bit_length() - 1: b for b in self.basis}
         gens = []
-        for j in range(n):
-            if j in pivot_bits:
-                continue
+        for j in self.free_bits():
             r = 1 << j
             for p, w in pivot_bits.items():
                 if (w >> j) & 1:
@@ -153,6 +167,24 @@ def _gray_elements(bases: np.ndarray) -> np.ndarray:
         h = 1 << k
         np.bitwise_xor(out[..., h - 1::-1], bases[..., k, None], out=out[..., h:2 * h])
     return out
+
+
+def _joins(H: Subgroup, reps: np.ndarray) -> list[Subgroup]:
+    """<H, r> in canonical RREF for each nonzero coset minimum r of H
+    (Subgroup.reduce), given as an int64 array.
+
+    r has every pivot bit of H clear, so its top bit p is a new pivot.
+    A word w of H with bit p set has w ^ r < w, and w ^ r keeps w's pivot
+    and clears bit p; so min(w, w ^ r) for each word of H, and r, sorted
+    in descending order, are the RREF of <H, r>.  All the minima make one
+    (m, dim H + 1) basis matrix.
+    """
+    basis = np.array(H.basis, dtype=np.int64)
+    rows = np.empty((reps.size, basis.size + 1), dtype=np.int64)
+    np.minimum(basis, basis ^ reps[:, None], out=rows[:, 1:])
+    rows[:, 0] = reps
+    rows.sort(axis=1)
+    return [Subgroup(H.ambient, tuple(row)) for row in rows[:, ::-1].tolist()]
 
 
 def rref_span(ambient: Ambient, generators) -> Subgroup:

@@ -28,7 +28,10 @@ this package writes, have a handful of distinct short tokens among their
 2^n.
 
 Any other body goes whole to ``np.fromstring(body, sep=" ")``, which
-then decides what is accepted and what the error says.  A first token
+then decides what is accepted and what the error says.  Either way a
+table is refused when 2^n * max|v| is not finite, since its transform
+would overflow: on the keyed path the check reads the distinct values,
+on the other the parsed table, and a bits= table needs none.  A first token
 longer than SHORT_TOKEN_BYTES sends it there before any array pass: dense
 reals written to 17 digits.  A chunk that takes the distinct tokens past
 MAX_DISTINCT_TOKENS sends it there after that chunk: dense short tokens.
@@ -38,6 +41,7 @@ Writing.  A real= body formats each distinct float64 bit pattern once.
 
 from __future__ import annotations
 
+import math
 import re
 
 import numpy as np
@@ -90,6 +94,12 @@ def _distinct(keys: np.ndarray) -> np.ndarray:
     return s[first]
 
 
+def _check_range(vals: np.ndarray, count: int) -> None:
+    """Refuse values that a transform of count entries could overflow."""
+    if vals.size and not math.isfinite(count * float(np.abs(vals).max())):
+        raise MalformedInput(f"real= values too large: {count} * max|v| overflows")
+
+
 def _chunk_keys(chunk: str) -> np.ndarray | None:
     """One uint64 key per token of an ASCII chunk, or None when it holds a
     control byte that np.fromstring does not skip or a token longer than
@@ -121,7 +131,8 @@ def _short_reals(text: str, pos: int, count: int) -> np.ndarray | None:
     character, a control byte that np.fromstring does not skip, a token
     longer than SHORT_TOKEN_BYTES, other than count tokens, more than
     MAX_DISTINCT_TOKENS distinct ones, or one outside 0-9 . e E + - or
-    refused by float()."""
+    refused by float().  Raises MalformedInput when the distinct values
+    fail _check_range."""
     if not text.isascii() or _LONG_FIRST.match(text, pos):
         return None
     keys = np.empty(count, dtype=np.uint64)
@@ -149,6 +160,7 @@ def _short_reals(text: str, pos: int, count: int) -> np.ndarray | None:
         table = np.array([float(t) for t in tokens], dtype=np.float64)
     except ValueError:
         return None
+    _check_range(table, count)
     # each float takes its key's place, CHUNK_BYTES of index at a time
     vals = keys.view(np.float64)
     step = CHUNK_BYTES // 8
@@ -188,11 +200,14 @@ def read_truth_table(path: str) -> RealFn:
     if text.startswith("real=", start):
         try:
             vals = _short_reals(text, start + 5, ambient.size)
-            if vals is None:
-                vals = np.fromstring(text[start + 5:], sep=" ")
+            if vals is not None:
+                return RealFn(ambient, vals)
+            vals = np.fromstring(text[start + 5:], sep=" ")
             if vals.size != ambient.size:  # fromstring reads a blank body as [-1.0]
                 raise ValueError(f"real= needs exactly {ambient.size} decimals")
-            return RealFn(ambient, vals)
+            f = RealFn(ambient, vals)  # refuses nan and inf first
+            _check_range(vals, ambient.size)
+            return f
         except ValueError as exc:
             raise MalformedInput(str(exc)) from exc
     raise MalformedInput("second line must start with bits= or real=")

@@ -11,8 +11,9 @@ at a float or over a whole array, and pd_apply applies it to a table.
 
 psi and the descent run on coset sums computed without transforms,
 in quotient coordinates: the cosets of S are indexed by their smallest
-members, the words with every RREF pivot bit of S clear
-(_coset_minima).  psi sums f over the cosets of H and divides by |H|.
+members, the words with every RREF pivot bit of S clear, which
+gf2.Subgroup.coset_minima lists and free_bits indexes; this module
+reads no pivot bit itself.  psi sums f over the cosets of H and divides by |H|.
 The descent sums |fhat| over the cosets of H^perp once, keeps one sum
 per coset, and each step pairs those cosets along the adjoined word, so
 its array halves at every step.  On large tables over subgroups of
@@ -85,25 +86,6 @@ def psi(f: RealFn, H: Subgroup) -> RealFn:
     return RealFn(f.ambient, _coset_sums(f.values, H) / H.size)
 
 
-def _free_bits(S: Subgroup) -> list[int]:
-    """The bit positions that are not RREF pivots of S, in increasing order."""
-    pivots = {b.bit_length() - 1 for b in S.basis}
-    return [j for j in range(S.ambient.n) if j not in pivots]
-
-
-def _coset_minima(S: Subgroup) -> np.ndarray:
-    """The smallest member of each coset of S, in increasing order: every
-    word with all of S's RREF pivot bits clear (Subgroup.reduce).
-
-    Built by doubling over the free bits from the lowest up, so entry i
-    sets free bit _free_bits(S)[k] exactly when i sets bit k.
-    """
-    out = np.zeros(1, dtype=np.int64)
-    for j in _free_bits(S):
-        out = np.concatenate((out, out | (1 << j)))
-    return out
-
-
 # _coset_sums gathers into S's frame only at n >= FRAME_MIN_N and
 # dim S >= FRAME_MIN_DIM.  Frame/fold time ratios (BENCH_13.json): at
 # n = 16..20, 0.97-1.4 for dim 1, 0.70-0.93 for dim 2 and 0.14-0.5 for
@@ -137,7 +119,7 @@ def _coset_sums(table: np.ndarray, S: Subgroup) -> np.ndarray:
         for b in S.basis:
             out = out + out.take(idx ^ b, axis=-1)
         return out
-    frame = np.sort(S.element_array())[:, None] ^ _coset_minima(S)
+    frame = np.sort(S.element_array())[:, None] ^ S.coset_minima()
     s = table.take(frame, axis=-1)
     h = S.size
     while h > 1:
@@ -189,7 +171,7 @@ def _descent(sums: np.ndarray, H: Subgroup, eta: float) -> SupportCertificate:
     never written.
 
     The descent runs on the quotient by the dual span D: sums[i] is the
-    mass of the coset whose smallest word is _coset_minima(D)[i], so
+    mass of the coset whose smallest word is D.coset_minima()[i], so
     i = 0 is D itself, and those words increase with i.  The start
     D = H^perp is summed by _coset_sums and compressed onto its minima
     once; a trivial D needs neither, as sums already has one entry per
@@ -204,8 +186,8 @@ def _descent(sums: np.ndarray, H: Subgroup, eta: float) -> SupportCertificate:
     ambient = H.ambient
     dual = H.annihilator()
     if dual.dim:
-        sums = _coset_sums(sums, dual)[_coset_minima(dual)]
-    free = _free_bits(dual)  # index bit k of sums is word bit free[k]
+        sums = _coset_sums(sums, dual)[dual.coset_minima()]
+    free = dual.free_bits()  # index bit k of sums is word bit free[k]
     reps = []
     while True:
         if sums.size == 1:

@@ -4,6 +4,8 @@ These are the full-size runs; the unit suites cover the same code at small
 scale.
 """
 
+import hashlib
+import json
 import math
 import time
 from statistics import median
@@ -12,7 +14,7 @@ import numpy as np
 import pytest
 
 from specnorm import fourier
-from specnorm.decompose import decompose, evaluate, trivial_expr
+from specnorm.decompose import decompose, decomposition_json, evaluate, trivial_expr
 from specnorm.fourier import RealFn, iwht, wht
 from specnorm.generate import (
     flat_indicator,
@@ -39,6 +41,11 @@ from specnorm.spectral import (
 )
 
 SEED = 2026
+# sha256 over the concatenated json.dumps(decomposition_json(expr, rep),
+# sort_keys=True) of the 200 roundtrip instances, and their total L: a
+# change to any term, term order or report field changes the digest
+CORPUS_SHA256 = "5bd9d3f603ad5b95afe32a2c0c2a5ec8d00a404523aa220cc276b1df3b351ee2"
+CORPUS_TOTAL_L = 6434
 
 
 def report(name: str, ok: bool, detail: str = "") -> None:
@@ -195,19 +202,22 @@ def test_09_plunnecke():
 
 
 def run_roundtrips():
-    """200 coset-ring roundtrips; shared by criteria 10 and 11."""
+    """200 coset-ring roundtrips, and the sha256 of their decomposition
+    JSON; shared by criteria 10 and 11."""
     results = []
+    digest = hashlib.sha256()
     for t in range(200):
         rng = rng_for(SEED, 90_000 + t)
         n = int(rng.integers(5, 11))
         f, record = gen_coset_ring(Ambient(n), 1 + t % 4, t % 4, rng)
         expr, rep = decompose(f)
+        digest.update(json.dumps(decomposition_json(expr, rep), sort_keys=True).encode())
         l_triv = trivial_expr(round_to_int(f).f_int).L
         exact_vals = np.array_equal(
             np.rint(evaluate(expr).values), np.rint(f.values)
         )
         results.append((rep, expr.L, l_triv, exact_vals))
-    return results
+    return results, digest.hexdigest()
 
 
 @pytest.fixture(scope="module")
@@ -216,6 +226,8 @@ def roundtrips():
 
 
 def test_10_decomposition_roundtrip(roundtrips):
+    roundtrips, digest = roundtrips
+    total_L = sum(L for _, L, _, _ in roundtrips)
     inexact = sum(
         1 for rep, _, _, ev in roundtrips if not (rep.exact and ev)
     )
@@ -228,20 +240,21 @@ def test_10_decomposition_roundtrip(roundtrips):
         H, rep_pt = random_flat(Ambient(8), rng, min_dim=2)
         expr, drep = decompose(flat_indicator(H, rep_pt))
         coset_ok = coset_ok and drep.exact and expr.L <= 2
-    ok = inexact == 0 and coset_ok
+    ok = inexact == 0 and coset_ok and digest == CORPUS_SHA256 and total_L == CORPUS_TOTAL_L
     quality = "met" if med <= 0.25 else "missed (report-only)"
     report(
         "coset-ring roundtrip",
         ok,
         f"trials=200 inexact={inexact} single_coset_L<=2={coset_ok} "
-        f"median_L_ratio={med:.3f} quality_target={quality}",
+        f"median_L_ratio={med:.3f} quality_target={quality} "
+        f"total_L={total_L} sha256={digest}",
     )
 
 
 def test_11_split_invariants(roundtrips):
     checked = 0
     bad = 0
-    for rep, _, _, _ in roundtrips:
+    for rep, _, _, _ in roundtrips[0]:
         for s in rep.splits:
             checked += 1
             add = abs(

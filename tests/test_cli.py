@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import tempfile
 from unittest import mock
@@ -111,13 +112,15 @@ WHITESPACE = " \t\n\r\v\f"
 
 def reference_read_real(body, size):
     """What read_truth_table gives for a real= body: np.fromstring(body,
-    sep=" ") when that parses to size finite values, None when the file
-    is malformed."""
+    sep=" ") when that parses to size finite values whose transform cannot
+    overflow (size * max|v| finite), None when the file is malformed."""
     try:
         vals = np.fromstring(body, sep=" ")
     except ValueError:
         return None
     if vals.size != size or not np.isfinite(vals).all():
+        return None
+    if not math.isfinite(size * float(np.abs(vals).max())):
         return None
     return vals
 
@@ -244,10 +247,12 @@ class TestTruthTableIO:
         assert np.allclose(g.values, f.values, atol=0)
 
     def test_real_roundtrip_bit_exact(self, tmp_path):
-        # random bit patterns reach subnormals, -0.0 and extreme exponents
+        # random bit patterns reach subnormals, -0.0 and extreme exponents;
+        # the reader refuses values whose 2^12-entry transform could overflow
         bits = np.random.default_rng(0).integers(0, 2**64, 1 << 12, dtype=np.uint64)
         vals = bits.view(np.float64)
-        vals[~np.isfinite(vals)] = 0.5
+        vals[~(np.abs(vals) <= np.finfo(np.float64).max / vals.size)] = 0.5
+        assert np.abs(vals).max() > 2.0**1000
         p = tmp_path / "f.txt"
         write_truth_table(str(p), RealFn(Ambient(12), vals))
         g = read_truth_table(str(p))
@@ -341,6 +346,32 @@ class TestDecomposeCmd:
         p = tmp_path / "f.txt"
         p.write_text("n=2\nreal=0.3 0.0 0.0 0.0\n")
         assert main(["decompose", "--input", str(p)]) == EXIT_BAD_INPUT
+
+    @pytest.mark.parametrize("value", ["1e17", "1e300"])
+    def test_too_many_terms(self, tmp_path, capsys, value):
+        # one point mass of value 1e17 would expand to 2e17 terms
+        p = tmp_path / "f.txt"
+        p.write_text(f"n=3\nreal=0 0 0 {value} 0 0 0 0\n")
+        # the suite turns warnings into errors, so a numpy warning fails here
+        assert main(["decompose", "--input", str(p)]) == EXIT_BAD_INPUT
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "MAX_TERMS" in err
+
+
+# eight entries whose sum overflows, read through keys and through fromstring
+@pytest.mark.parametrize("token", ["1e308", "1.2345678901234567e308"])
+@pytest.mark.parametrize("argv", [
+    ["anorm"], ["wht"], ["psi", "--subgroup", '["0x1"]'], ["decompose"]],
+    ids=lambda a: a[0])
+def test_transform_overflow_exit_2(tmp_path, capsys, token, argv):
+    p = tmp_path / "f.txt"
+    p.write_text("n=3\nreal=" + " ".join([token] * 8) + "\n")
+    # no numpy warning either: the suite turns warnings into errors
+    assert main(argv[:1] + ["--input", str(p)] + argv[1:]) == EXIT_BAD_INPUT
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "too large" in err
 
 
 class TestVerifyCmd:
@@ -500,6 +531,11 @@ class TestBenchCmd:
     def test_too_large(self):
         assert main(["bench", "wht", "--n", "30"]) == EXIT_BAD_INPUT
 
+    def test_reps_zero(self, capsys):
+        assert main(["bench", "wht", "--n", "4", "--reps", "0"]) == EXIT_BAD_INPUT
+        err = capsys.readouterr().err
+        assert err == "error: --reps must be >= 1, got 0\n"
+
     @pytest.mark.parametrize("what", ["wht", "decompose", "psi", "support", "io"])
     def test_n_zero(self, what, capsys):
         assert main(["bench", what, "--n", "0"]) == EXIT_BAD_INPUT
@@ -547,6 +583,7 @@ class TestBenchCmd:
         ["verify", "pd", "--seed", "1"],
         ["verify", "tiny-norm", "--trials", "5"],
         ["verify", "tiny-norm", "--seed", "1"],
+        ["gen", "coset-ring", "--n", "6", "--depth", "-1", "--out", "OUT"],
     ],
     ids=["psi-subgroup-int", "psi-subgroup-int-word", "gen-flats-0",
          "verify-tiny-norm-n6", "verify-roundtrip-n30",
@@ -557,7 +594,8 @@ class TestBenchCmd:
          "gen-out-missing-dir", "anorm-input-not-utf8", "anorm-input-dir",
          "anorm-input-after-bits",
          "verify-pd-n", "verify-pd-trials", "verify-pd-seed",
-         "verify-tiny-norm-trials", "verify-tiny-norm-seed"],
+         "verify-tiny-norm-trials", "verify-tiny-norm-seed",
+         "gen-depth-negative"],
 )
 def test_bad_flags_exit_2(argv, coset_table, tmp_path, capsys):
     binary = tmp_path / "binary.txt"

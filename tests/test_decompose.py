@@ -1,16 +1,17 @@
+import importlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from specnorm.decompose import (
+    MAX_TERMS,
     CosetRingExpr,
+    _expand,
     _extract_coset_terms,
-    _joins,
     DecomposeParams,
-    SignedCosetTerm,
     SubgroupTerm,
-    coset_to_subgroups,
     decompose,
     decomposition_json,
     evaluate,
@@ -20,8 +21,8 @@ from specnorm.decompose import (
 )
 from specnorm.fourier import RealFn
 from specnorm.generate import flat_indicator, gen_coset_ring, random_flat, rng_for
-from specnorm.gf2 import Ambient, rref_span, trivial
-from specnorm.spectral import NotAlmostInteger, _coset_minima, a_norm, psi, round_to_int
+from specnorm.gf2 import Ambient, _joins, rref_span, trivial
+from specnorm.spectral import NotAlmostInteger, a_norm, psi, round_to_int
 
 
 EPS0 = DecomposeParams().eps0
@@ -54,23 +55,82 @@ def outside_coset(n, seed):
             return flat_indicator(H, x)
 
 
-class TestCosetToSubgroups:
-    def test_rep_inside(self):
+def ints(*xs):
+    return np.array(xs, dtype=np.int64)
+
+
+def reference_expand(H, reps, coeffs):
+    """The subgroup terms one coset at a time, each join by rref_span."""
+    terms = []
+    for r, c in zip(reps.tolist(), coeffs.tolist()):
+        s = 1 if c > 0 else -1
+        if r:
+            joined = rref_span(H.ambient, list(H.basis) + [r])
+            terms.extend([SubgroupTerm(s, joined), SubgroupTerm(-s, H)] * abs(c))
+        else:
+            terms.extend([SubgroupTerm(s, H)] * abs(c))
+    return tuple(terms)
+
+
+class TestExpand:
+    def test_rep_zero(self):
         a = Ambient(4)
         H = rref_span(a, [0b0011])
-        out = coset_to_subgroups(SignedCosetTerm(2, 0b0011, H))
-        assert out == [SubgroupTerm(1, H), SubgroupTerm(1, H)]
+        out = _expand(H, ints(0), ints(2)).terms
+        assert out == (SubgroupTerm(1, H), SubgroupTerm(1, H))
 
     def test_rep_outside(self):
         a = Ambient(4)
         H = rref_span(a, [0b0011])
-        out = coset_to_subgroups(SignedCosetTerm(-1, 0b0100, H))
+        out = _expand(H, ints(0b0100), ints(-1)).terms
         assert len(out) == 2
         got = np.zeros(a.size, dtype=np.int64)
         for t in out:
             got[t.H.element_array()] += t.sign
         want = -flat_indicator(H, 0b0100).values
         assert np.array_equal(got, np.rint(want).astype(np.int64))
+
+    def test_empty(self):
+        H = rref_span(Ambient(3), [0b011])
+        expr = _expand(H, ints(), ints())
+        assert expr.ambient == H.ambient and expr.terms == ()
+
+    @given(st.integers(1, 8), st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_matches_per_term_reference(self, n, data):
+        # coset minima with repeats, rep 0 among them, and coefficients of
+        # either sign and of size above one
+        a = Ambient(n)
+        H = rref_span(a, data.draw(st.lists(st.integers(0, a.size - 1), max_size=n)))
+        minima = H.coset_minima().tolist()
+        reps = ints(*data.draw(st.lists(st.sampled_from(minima), max_size=12)))
+        coeffs = ints(*data.draw(st.lists(
+            st.integers(-3, 3).filter(bool), min_size=reps.size, max_size=reps.size)))
+        assert _expand(H, reps, coeffs).terms == reference_expand(H, reps, coeffs)
+
+
+class TestMaxTerms:
+    def test_boolean_tables_fit_at_max_n(self):
+        # the all-ones table at n = 24: one point mass at 0, two terms each
+        # for the others
+        assert 1 + 2 * (2**24 - 1) <= MAX_TERMS
+
+    @pytest.mark.parametrize("extra, ok", [(0, True), (1, False)])
+    def test_edge(self, monkeypatch, extra, ok):
+        # L = |c_0| + 2 sum_{r != 0} |c_r| = 3 + 2 * (2 + 1) = 9
+        vals = np.zeros(8)
+        vals[[0, 3, 5]] = [-3.0, 2.0, -1.0]
+        f = RealFn(Ambient(3), vals)
+        # the package re-exports the function decompose under the module's name
+        module = importlib.import_module("specnorm.decompose")
+        monkeypatch.setattr(module, "MAX_TERMS", 9 - extra)
+        if ok:
+            assert trivial_expr(f).L == 9
+            assert decompose(f)[1].exact
+        else:
+            for call in (trivial_expr, lambda g: decompose(g)):
+                with pytest.raises(ValueError, match="MAX_TERMS"):
+                    call(f)
 
 
 class TestEvaluateTrivial:
@@ -98,11 +158,9 @@ class TestEvaluateTrivial:
 def reference_trivial_expr(f_int):
     """The point-mass expression by a loop over the nonzero points."""
     vals = np.rint(f_int.values).astype(np.int64)
-    triv = trivial(f_int.ambient)
-    terms = []
-    for x in np.nonzero(vals)[0]:
-        terms.extend(coset_to_subgroups(SignedCosetTerm(int(vals[x]), int(x), triv)))
-    return CosetRingExpr(f_int.ambient, tuple(terms))
+    reps = np.nonzero(vals)[0]
+    terms = reference_expand(trivial(f_int.ambient), reps, vals[reps])
+    return CosetRingExpr(f_int.ambient, terms)
 
 
 def reference_extract_coset_terms(f_int, H):
@@ -110,7 +168,8 @@ def reference_extract_coset_terms(f_int, H):
     word to its coset's smallest member and taking the distinct ones."""
     vals = np.rint(f_int.values).astype(np.int64)
     reps = np.unique(H.reduce(np.arange(f_int.ambient.size, dtype=np.int64)))
-    return tuple(SignedCosetTerm(int(vals[r]), int(r), H) for r in reps[vals[reps] != 0])
+    reps = reps[vals[reps] != 0]
+    return reps, vals[reps]
 
 
 def reference_split_norms(f):
@@ -143,7 +202,9 @@ class TestMergedPathsMatchReferences:
         density = data.draw(st.sampled_from([0.1, 0.5, 1.0]))
         vals = rng.integers(-3, 4, a.size) * (rng.random(a.size) < density)
         f = RealFn(a, vals.astype(float))
-        assert _extract_coset_terms(f, H) == reference_extract_coset_terms(f, H)
+        got, want = _extract_coset_terms(f, H), reference_extract_coset_terms(f, H)
+        for g, w in zip(got, want):
+            assert g.dtype == np.int64 and np.array_equal(g, w)
 
     @given(signed_flat_sums())
     @settings(max_examples=80, deadline=None)
@@ -158,7 +219,8 @@ class TestInductiveStep:
         a = Ambient(4)
         f = round_to_int(RealFn(a, np.zeros(a.size)))
         out = inductive_step(f)
-        assert out.terms == () and out.certificate.steps_used == 0
+        assert out.reps.size == out.coeffs.size == 0
+        assert out.certificate.steps_used == 0
 
     def test_subgroup_indicator_one_round(self):
         a = Ambient(6)
@@ -166,7 +228,7 @@ class TestInductiveStep:
         f = round_to_int(flat_indicator(H, 0))
         out = inductive_step(f)
         assert out.certificate.subgroup == H
-        assert out.terms == (SignedCosetTerm(1, 0, H),)
+        assert (out.reps.tolist(), out.coeffs.tolist()) == ([0], [1])
         assert out.a_norm_before == pytest.approx(1.0)
         # norm additivity of the split
         assert sum(out.a_norm_parts) == pytest.approx(out.a_norm_before, abs=1e-9)
@@ -344,35 +406,24 @@ class TestRrefInsertion:
     @given(subgroups_of())
     @settings(max_examples=80, deadline=None)
     def test_every_coset_minimum(self, H):
-        minima = [int(r) for r in _coset_minima(H)[1:]]
-        want = [rref_span(H.ambient, list(H.basis) + [r]) for r in minima]
+        minima = H.coset_minima()[1:]
+        want = [rref_span(H.ambient, list(H.basis) + [r]) for r in minima.tolist()]
         assert _joins(H, minima) == want
 
     @given(subgroups_of(), st.data())
     @settings(max_examples=80, deadline=None)
     def test_any_rep(self, H, data):
-        """A rep that is not a coset minimum, and rep 0, through the
-        public coset_to_subgroups."""
-        rep = data.draw(st.integers(0, H.ambient.size - 1))
+        """Any word x, reduced to its coset minimum, expands to the terms
+        of x + H: <H, H.reduce(x)> = <H, x>."""
+        x = data.draw(st.integers(0, H.ambient.size - 1))
         coeff = data.draw(st.sampled_from([-2, -1, 1, 3]))
         s = 1 if coeff > 0 else -1
-        got = coset_to_subgroups(SignedCosetTerm(coeff, rep, H))
-        if H.contains(rep):
+        got = list(_expand(H, ints(H.reduce(x)), ints(coeff)).terms)
+        if H.contains(x):
             assert got == [SubgroupTerm(s, H)] * abs(coeff)
         else:
-            bigger = rref_span(H.ambient, list(H.basis) + [rep])
+            bigger = rref_span(H.ambient, list(H.basis) + [x])
             assert got == [SubgroupTerm(s, bigger), SubgroupTerm(-s, H)] * abs(coeff)
-
-    def test_rep_zero_and_unreduced(self):
-        a = Ambient(5)
-        H = rref_span(a, [0b00011, 0b01100])
-        assert coset_to_subgroups(SignedCosetTerm(1, 0, H)) == [SubgroupTerm(1, H)]
-        # 0b10011 reduces to 0b10000; either gives the same join
-        want = rref_span(a, [0b00011, 0b01100, 0b10000])
-        assert coset_to_subgroups(SignedCosetTerm(-1, 0b10011, H)) == [
-            SubgroupTerm(-1, want), SubgroupTerm(1, H)]
-        with pytest.raises(ValueError):
-            coset_to_subgroups(SignedCosetTerm(1, 32, H))
 
 
 @st.composite

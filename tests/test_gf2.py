@@ -258,6 +258,26 @@ class TestEnumerate:
         )
 
 
+class TestCosetMinima:
+    @given(st.integers(1, 8).flatmap(lambda n: subgroups(n)))
+    @settings(max_examples=100, deadline=None)
+    def test_coset_minima_are_the_reduced_words(self, H):
+        xs = np.arange(H.ambient.size, dtype=np.int64)
+        minima = H.coset_minima()
+        assert minima.dtype == np.int64
+        assert np.array_equal(minima, np.unique(H.reduce(xs)))
+
+    @given(st.integers(1, 8).flatmap(lambda n: subgroups(n)))
+    @settings(max_examples=100, deadline=None)
+    def test_index_bits_are_the_free_bits(self, H):
+        # entry i sets free bit free_bits()[k] exactly when i sets bit k
+        free = H.free_bits()
+        pivots = {b.bit_length() - 1 for b in H.basis}
+        assert free == sorted(set(range(H.ambient.n)) - pivots)
+        for i, m in enumerate(H.coset_minima().tolist()):
+            assert m == sum(1 << j for k, j in enumerate(free) if (i >> k) & 1)
+
+
 class TestSerialization:
     def test_hex_roundtrip(self):
         a = Ambient(5)

@@ -1,8 +1,12 @@
-"""Static checks on the package source: every name a module imports is
-read in that module.  __init__.py is skipped, since its imports are the
-package's re-exports, and so are ``from __future__`` imports."""
+"""Static checks on the package source and its README: every name a
+module imports is read in that module (__init__.py is skipped, since its
+imports are the package's re-exports, and so are ``from __future__``
+imports), and every ``module.attr`` the README names in backticks
+resolves."""
 
 import ast
+import importlib
+import re
 from pathlib import Path
 
 import pytest
@@ -10,6 +14,10 @@ import pytest
 import specnorm
 
 MODULES = sorted(p for p in Path(specnorm.__file__).parent.glob("*.py") if p.name != "__init__.py")
+README = Path(specnorm.__file__).resolve().parents[2] / "README.md"
+# a dotted name right after a backtick, not followed by more of a name or
+# by a glob such as laws.check_*
+_DOTTED = re.compile(r"`([A-Za-z_]\w*(?:\.[A-Za-z_]\w*)+)(?![\w*])")
 
 
 def unused_imports(source: str) -> list[str]:
@@ -39,3 +47,30 @@ def test_scanner_finds_an_unused_import():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_every_import_is_read(path):
     assert unused_imports(path.read_text()) == []
+
+
+def module_names(text: str) -> list[str]:
+    """The backticked dotted names in text whose head is a specnorm module,
+    in order, each once."""
+    modules = {p.stem for p in MODULES}
+    names = (m.group(1) for m in _DOTTED.finditer(text))
+    return list(dict.fromkeys(n for n in names if n.split(".")[0] in modules))
+
+
+def test_scanner_finds_module_names():
+    text = ("`gf2.Subgroup` and `gf2.Subgroup.coset_minima`, `spectral.pd_eval(t, d)`, "
+            "`laws.check_*`, `RealFn._unchecked`, `BENCH_8.json`, `gf2.Subgroup`")
+    assert module_names(text) == ["gf2.Subgroup", "gf2.Subgroup.coset_minima", "spectral.pd_eval"]
+
+
+def test_readme_names_resolve():
+    names = module_names(README.read_text())
+    missing = []
+    for name in names:
+        head, *path = name.split(".")
+        obj = importlib.import_module("specnorm." + head)
+        for attr in path:
+            obj = getattr(obj, attr, None)
+        if obj is None:
+            missing.append(name)
+    assert names and not missing

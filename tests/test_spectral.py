@@ -22,7 +22,6 @@ from specnorm.spectral import (
     TIE_SLACK,
     NotAlmostInteger,
     SupportCertificate,
-    _coset_minima,
     _coset_sums,
     _descent,
     a_norm,
@@ -277,16 +276,6 @@ class TestQuotientPaths:
         for H in (S, S.annihilator(), full(a)):
             got = _descent(sums, H, eta)
             assert repr(got) == repr(fold_descent(sums, H, eta))
-
-    @given(st.integers(1, 10), st.data())
-    @settings(max_examples=100, deadline=None)
-    def test_coset_minima_are_the_reduced_words(self, n, data):
-        a = Ambient(n)
-        S = rref_span(a, data.draw(st.lists(st.integers(0, a.size - 1), max_size=n + 1)))
-        minima = _coset_minima(S)
-        assert np.all(np.diff(minima) > 0)
-        xs = np.arange(a.size)
-        assert np.array_equal(minima, xs[S.reduce(xs) == xs])
 
 
 class TestSpectralSupport:
