@@ -50,11 +50,16 @@ EXIT_INCOMPLETE = 3
 def cmd_wht(args) -> int:
     f = read_truth_table(args.input)
     s = wht(f)
-    parseval = abs(
-        float(np.mean(f.values**2)) - float(np.sum(s.coeffs**2))
-    )
+    linf = fourier.lp_norm(f, math.inf)
+    # with max|f| > 1, square the table and spectrum scaled by 2^-e, e the
+    # max's binary exponent, so that no square overflows, and scale back
+    e = math.frexp(linf)[1] if linf > 1 else 0
+    scale = 2.0**-e
+    residual = abs(float(np.mean((f.values * scale)**2)) - float(np.sum((s.coeffs * scale)**2)))
+    with np.errstate(over="ignore"):  # a residual past float64 reads inf
+        parseval = float(np.ldexp(residual, 2 * e))
     print(f"a_norm={fourier.spec_lp_norm(s, 1)!r}")
-    print(f"linf={fourier.lp_norm(f, math.inf)!r}")
+    print(f"linf={linf!r}")
     print(f"parseval_residual={parseval!r}")
     if args.out:
         with open(args.out, "w") as fh:
@@ -258,7 +263,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("decompose", help="signed-subgroup decomposition")
     sp.add_argument("--input", required=True)
-    sp.add_argument("--eps0", type=float, default=2.0**-20)
+    sp.add_argument("--eps0", type=float, default=DecomposeParams.eps0)
     sp.add_argument("--out")
     sp.set_defaults(fn=cmd_decompose)
 

@@ -3,7 +3,7 @@ subgroup indicators, through the spectral quotient.
 
 decompose rounds f to f_int = rint(f), which is what the output
 represents, transforms it once, and makes one descent on that
-|f_int-hat| table, which also gives the split norms it reports.  The
+|f_int-hat| table, whose sum is the one split norm it reports.  The
 transform of an integer table is exact dyadic arithmetic, and every
 |f_int-hat(r)| is a multiple of 2^-n, so every off-dual coset mass is
 either exactly 0 or at least 2^-n.  The greedy spectral-support descent
@@ -13,7 +13,8 @@ to the dual, so it takes at most n steps, and it lands on H', the
 largest subgroup that f_int is periodic under.  f_int is constant on
 H'-cosets, so it collapses to two arrays, the coset minima and its
 values there, and then to subgroup indicators via 1_{x+H} = 1_<H,x> -
-1_H.  A final evaluation checks the result is exact.
+1_H.  A final evaluation, one Gray-code pass per subgroup dimension and
+one bincount, checks the result is exact.
 """
 
 from __future__ import annotations
@@ -81,26 +82,19 @@ class DecomposeReport:
     exact: bool = False
 
     def to_json(self) -> dict:
-        return {
-            "L": self.L,
-            "depth": self.depth,
-            "splits": self.splits,
-            "fallback_used": self.fallback_used,
-            "exact": self.exact,
-        }
+        # the fields in their order; a shallow copy, as asdict would copy splits
+        return dict(vars(self))
 
 
 @dataclass(frozen=True)
 class SplitOutcome:
-    """One descent on rint(f) and the split f_int = f1 + f2 it induces,
-    with f1 = psi_{H'} f_int and f2 = 0, and f_int's nonzero H'-cosets as
-    their minima (reps) and values (coeffs)."""
+    """One descent on rint(f), ||f_int||_A, and f_int's nonzero H'-cosets
+    as their minima (reps) and values (coeffs)."""
 
     certificate: SupportCertificate
     reps: np.ndarray
     coeffs: np.ndarray
     a_norm_before: float
-    a_norm_parts: tuple[float, float]
 
 
 def _extract_coset_terms(f_int: RealFn, H: Subgroup) -> tuple[np.ndarray, np.ndarray]:
@@ -127,25 +121,21 @@ def _extract_coset_terms(f_int: RealFn, H: Subgroup) -> tuple[np.ndarray, np.nda
 def evaluate(expr: CosetRingExpr) -> RealFn:
     """The table of sum_j sign_j 1_{H_j}.
 
-    Equal subgroups have their signs summed first.  One or two distinct
-    subgroups are added directly; more are enumerated one stacked
-    Gray-code pass per dimension and added by one bincount.  Every sum
-    is a small integer, which float64 adds exactly, so the table is bit
-    for bit the one that adding the terms one at a time gives.
+    Equal subgroups have their signs summed first.  The distinct
+    subgroups are enumerated one stacked Gray-code pass per dimension and
+    added by one bincount.  Every sum is a small integer, which float64
+    adds exactly, so the table is bit for bit the one that adding the
+    terms one at a time gives.
     """
     coeffs: dict[tuple, int] = {}
     for t in expr.terms:
         coeffs[t.H.basis] = coeffs.get(t.H.basis, 0) + t.sign
-    live = [(basis, c) for basis, c in coeffs.items() if c]
-    if len(live) <= 2:
-        out = np.zeros(expr.ambient.size)
-        for basis, c in live:
-            out[_gray_elements(np.array(basis, dtype=np.int64))] += c
-        return RealFn._unchecked(expr.ambient, out)
     by_dim: dict[int, list] = {}
-    for basis, c in live:
-        by_dim.setdefault(len(basis), []).append((basis, c))
-    elems, weights = [], []
+    for basis, c in coeffs.items():
+        if c:
+            by_dim.setdefault(len(basis), []).append((basis, c))
+    # seeded, as concatenate refuses an empty list
+    elems, weights = [np.empty(0, dtype=np.int64)], [np.empty(0)]
     for d, group in by_dim.items():
         bases, cs = zip(*group)
         elems.append(_gray_elements(np.array(bases, dtype=np.int64)).ravel())
@@ -156,7 +146,8 @@ def evaluate(expr: CosetRingExpr) -> RealFn:
     )
     if out.size != expr.ambient.size:  # as indexing the table would raise
         raise IndexError("a term's subgroup has points outside the ambient")
-    return RealFn._unchecked(expr.ambient, out)
+    # with no live term, bincount returns int64 zeros
+    return RealFn._unchecked(expr.ambient, out.astype(np.float64, copy=False))
 
 
 def _expand(H: Subgroup, reps: np.ndarray, coeffs: np.ndarray) -> CosetRingExpr:
@@ -183,25 +174,18 @@ def trivial_expr(f_int: RealFn) -> CosetRingExpr:
 def inductive_step(f: AlmostIntFn) -> SplitOutcome:
     """Descend from the full group on rint(f) at exact_support_eta and
     extract its coset terms.  The descent takes at most n steps and ends
-    with no off-dual mass, so f_int is constant on the cosets it lands on.
+    with no off-dual mass, so f_int is constant on the cosets it lands on
+    and psi_{H'} f_int = f_int: the split is (f_int, 0).
 
     One |f_int-hat| table, the one transform of a decompose, feeds both
-    the descent and the split norms: f1 = psi_{H'} f_int has the part of
-    the spectrum on D = H'^perp and f2 = f_int - f1 the part off it.  The
-    descent stops only when every off-D coset mass is at most eta, so
-    exactly 0, and those masses are sums of entries >= 0; so every entry
-    off D is +0.0.  The table with its off-D entries zeroed is then the
-    table itself, entry for entry, and its sum is ||f_int||_A to the bit:
-    the parts are (||f_int||_A, 0.0) without a mask of D.
+    the descent and a_norm_before, its sum.
     """
     f_int = f.f_int
     mass = _abs_spectrum(f_int.values)
     cert = _descent(mass, full(f_int.ambient), exact_support_eta(f_int.ambient))
     reps, coeffs = _extract_coset_terms(f_int, cert.subgroup)
-    a_norm = float(mass.sum())
     return SplitOutcome(
-        certificate=cert, reps=reps, coeffs=coeffs,
-        a_norm_before=a_norm, a_norm_parts=(a_norm, 0.0),
+        certificate=cert, reps=reps, coeffs=coeffs, a_norm_before=float(mass.sum()),
     )
 
 
@@ -218,8 +202,13 @@ def decompose(
     report.splits.append(
         {
             "a_norm_before": outcome.a_norm_before,
-            "a_norm_f1": outcome.a_norm_parts[0],
-            "a_norm_f2": outcome.a_norm_parts[1],
+            # at exact_support_eta the descent stops only when every off-D
+            # coset mass, a sum of entries >= 0, is exactly 0, so every entry
+            # of |f_int-hat| off D = H'^perp is +0.0: zeroing them leaves the
+            # table, and its sum, as they are, so f1 = psi_{H'} f_int has
+            # the whole norm to the bit and f2 = f_int - f1 none
+            "a_norm_f1": outcome.a_norm_before,
+            "a_norm_f2": 0.0,
             "eta": outcome.certificate.eta,
             "eps_level": params.eps0,
         }

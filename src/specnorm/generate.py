@@ -22,15 +22,10 @@ def rng_for(seed: int, index: int = 0) -> np.random.Generator:
     return np.random.default_rng([int(seed), int(index)])
 
 
-def _generators(ambient: Ambient, rng) -> np.ndarray:
-    """d uniform words, d uniform in 0..n."""
-    d = int(rng.integers(0, ambient.n + 1))
-    return rng.integers(0, ambient.size, size=d)
-
-
 def random_subgroup(ambient: Ambient, rng) -> Subgroup:
-    """The span of d uniform words, d uniform in 0..n."""
-    return rref_span(ambient, _generators(ambient, rng))
+    """The span of d uniform words, d uniform in 0..n: the first draw of
+    _random_subgroup_of_dim, as every subgroup has dimension >= 0."""
+    return _random_subgroup_of_dim(ambient, rng, 0)
 
 
 def subgroup_of_dim(ambient: Ambient, dim: int, rng) -> Subgroup:
@@ -45,12 +40,14 @@ def subgroup_of_dim(ambient: Ambient, dim: int, rng) -> Subgroup:
 
 
 def _random_subgroup_of_dim(ambient: Ambient, rng, min_dim: int) -> Subgroup:
-    """random_subgroup, drawn again until its dimension is at least min_dim.
-    Fewer than min_dim words span less, so such a draw is rejected before
-    its rank reduction; the stream is the same either way."""
+    """The span of d uniform words, d uniform in 0..n, drawn again until
+    its dimension is at least min_dim.  Fewer than min_dim words span
+    less, so such a draw is rejected before its rank reduction; the
+    stream is the same either way."""
     while True:
-        gens = _generators(ambient, rng)
-        if len(gens) >= min_dim:
+        d = int(rng.integers(0, ambient.n + 1))
+        gens = rng.integers(0, ambient.size, size=d)
+        if d >= min_dim:
             H = rref_span(ambient, gens)
             if H.dim >= min_dim:
                 return H

@@ -506,15 +506,13 @@ def check_lemma14(n: int, trials: int, seed: int) -> LawReport:
     ambient = Ambient(n)
     for t in range(trials):
         rng = rng_for(seed, t)
-        A = None
         for _ in range(50):
-            cand = PointSet(ambient, random_structured_set_mask(ambient, rng))
-            if 16.0 * set_stats(cand).doubling ** 8 <= 1e5:
-                A = cand
+            A = PointSet(ambient, random_structured_set_mask(ambient, rng))
+            stats = set_stats(A)
+            if 16.0 * stats.doubling ** 8 <= 1e5:
                 break
-        if A is None:
+        else:
             continue  # doubling too large for the level scan; resampled out
-        stats = set_stats(A)
         K = max(stats.doubling, 1.0)
         alpha = stats.alpha
         eta0 = 1.0 / (2.0 * K**4)
@@ -565,7 +563,10 @@ def check_chang_report(n: int, trials: int, seed: int) -> LawReport:
 @_timed
 def check_connectedness(n: int, trials: int, seed: int) -> LawReport:
     """Definitional checks: subgroup-minus-zero families are 2-connected;
-    independent-vector families are not, with a valid witness."""
+    independent-vector families are not, with a valid witness.  The
+    subgroup trials need a subgroup of dimension >= 2, so n >= 2."""
+    if n < 2:
+        raise ValueError("connectedness check needs n >= 2")
     rep = LawReport(law_id="connectedness")
     ambient = Ambient(n)
     for t in range(trials):

@@ -4,10 +4,11 @@ almost-integer bookkeeping.
 psi_H averages a function over cosets of H; on the Fourier side it
 restricts the spectrum to the annihilator H^perp.  The greedy
 spectral-support finder descends from H one codimension at a time,
-each step swallowing an offending coset of ell^1 spectral mass; the
-support level of f on H is that descent run with eta = inf, so that it
-takes no step.  pd_eval evaluates the integer-detecting polynomial p_d
-at a float or over a whole array, and pd_apply applies it to a table.
+each step swallowing an offending coset of ell^1 spectral mass; run
+with eta = inf it takes no step, and its certificate's worst_mass is
+the support level of f on H.  pd_eval evaluates the integer-detecting
+polynomial p_d at a float or over a whole array, and pd_apply applies
+it to a table.
 
 psi and the descent run on coset sums computed without transforms,
 in quotient coordinates: the cosets of S are indexed by their smallest
@@ -135,23 +136,15 @@ def _coset_sums(table: np.ndarray, S: Subgroup) -> np.ndarray:
 TIE_SLACK = 1e-12
 
 
-def spectral_support_level(f: RealFn, H: Subgroup) -> tuple[float, int]:
-    """Worst off-H^perp coset mass of fhat and the coset's smallest rep:
-    the descent from H that takes no step.
-
-    Returns (0.0, 0) when H is trivial, so that H^perp is the whole
-    group and no off cosets exist.
-    """
-    cert = find_spectral_support(f, H, math.inf)
-    return cert.worst_mass, cert.worst_coset_rep
-
-
 def is_spectrally_supported(f: RealFn, H: Subgroup, eta: float):
-    """eta-spectral-support test; returns (ok, worst_rep, worst_mass)."""
+    """eta-spectral-support test; returns (ok, worst_rep, worst_mass): the
+    worst off-H^perp coset mass of fhat and that coset's smallest word,
+    read from the descent from H that takes no step ((0, 0.0) when H is
+    trivial, as H^perp is then the whole group)."""
     if eta <= 0:
         raise ValueError("eta must be positive")
-    worst, rep = spectral_support_level(f, H)
-    return worst <= eta, rep, worst
+    cert = find_spectral_support(f, H, math.inf)
+    return cert.worst_mass <= eta, cert.worst_coset_rep, cert.worst_mass
 
 
 def find_spectral_support(f: RealFn, H: Subgroup, eta: float) -> SupportCertificate:

@@ -18,7 +18,7 @@ from specnorm.cli import (
     EXIT_OK,
     main,
 )
-from specnorm.fourier import RealFn
+from specnorm.fourier import RealFn, wht
 from specnorm.decompose import decompose
 from specnorm.generate import flat_indicator, gen_coset_ring, rng_for
 from specnorm.gf2 import Ambient, rref_span
@@ -300,6 +300,33 @@ class TestWhtAnorm:
         assert coeffs == sorted(coeffs, reverse=True)
         assert all(e["r"].startswith("0x") for e in doc)
 
+    def test_parseval_residual_bits_at_most_1(self, tmp_path, capsys):
+        # tables with max|v| <= 1 are squared unscaled
+        a = Ambient(6)
+        f = RealFn(a, np.random.default_rng(3).uniform(-1, 1, a.size))
+        path = tmp_path / "f.txt"
+        write_truth_table(str(path), f)
+        assert main(["wht", "--input", str(path)]) == EXIT_OK
+        want = abs(float(np.mean(f.values**2)) - float(np.sum(wht(f).coeffs**2)))
+        assert capsys.readouterr().out.splitlines()[-1] == f"parseval_residual={want!r}"
+
+    @pytest.mark.parametrize("body, residual", [
+        (" ".join(["1e200"] * 8), "0.0"),
+        # scaled residual a few ulps, past float64 once scaled back
+        ("2.3643249400513433e+298 9.009273926518707e+299 -7.116807745607326e+299 "
+         "8.972988942744877e+299 -3.763370959790291e+299 -1.533471020548487e+299 "
+         "6.5540518764088354e+299 -1.8160172726167745e+299", "inf"),
+    ], ids=["1e200", "past-float64"])
+    def test_parseval_residual_of_huge_reals(self, tmp_path, capsys, body, residual):
+        # squared unscaled, these tables overflow; the suite turns the
+        # numpy warning into an error
+        p = tmp_path / "f.txt"
+        p.write_text(f"n=3\nreal={body}\n")
+        assert main(["wht", "--input", str(p)]) == EXIT_OK
+        out, err = capsys.readouterr()
+        assert err == ""
+        assert out.splitlines()[-1] == f"parseval_residual={residual}"
+
     def test_anorm_coset_is_one(self, coset_table, capsys):
         path, _ = coset_table
         assert main(["anorm", "--input", path]) == EXIT_OK
@@ -341,6 +368,17 @@ class TestDecomposeCmd:
         assert code == EXIT_OK
         doc = json.loads(out.read_text())
         assert doc["exact"] and doc["L"] == 2 and doc["n"] == 4
+
+    def test_file_key_order(self, coset_table, tmp_path):
+        # the corpus digest sorts its keys, so only this pins the written order
+        path, _ = coset_table
+        out = tmp_path / "dec.json"
+        assert main(["decompose", "--input", path, "--out", str(out)]) == EXIT_OK
+        doc = json.loads(out.read_text())
+        assert list(doc) == ["n", "L", "terms", "report", "exact"]
+        assert list(doc["report"]) == ["L", "depth", "splits", "fallback_used", "exact"]
+        assert [list(split) for split in doc["report"]["splits"]] == [
+            ["a_norm_before", "a_norm_f1", "a_norm_f2", "eta", "eps_level"]]
 
     def test_non_integer_input(self, tmp_path):
         p = tmp_path / "f.txt"
@@ -584,6 +622,7 @@ class TestBenchCmd:
         ["verify", "tiny-norm", "--trials", "5"],
         ["verify", "tiny-norm", "--seed", "1"],
         ["gen", "coset-ring", "--n", "6", "--depth", "-1", "--out", "OUT"],
+        ["verify", "connectedness", "--n", "1"],
     ],
     ids=["psi-subgroup-int", "psi-subgroup-int-word", "gen-flats-0",
          "verify-tiny-norm-n6", "verify-roundtrip-n30",
@@ -595,7 +634,7 @@ class TestBenchCmd:
          "anorm-input-after-bits",
          "verify-pd-n", "verify-pd-trials", "verify-pd-seed",
          "verify-tiny-norm-trials", "verify-tiny-norm-seed",
-         "gen-depth-negative"],
+         "gen-depth-negative", "verify-connectedness-n1"],
 )
 def test_bad_flags_exit_2(argv, coset_table, tmp_path, capsys):
     binary = tmp_path / "binary.txt"

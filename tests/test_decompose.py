@@ -209,9 +209,10 @@ class TestMergedPathsMatchReferences:
     @given(signed_flat_sums())
     @settings(max_examples=80, deadline=None)
     def test_split_norms_bitwise(self, f):
-        out = inductive_step(round_to_int(f))
+        split = decompose(f)[1].splits[0]
         before, parts = reference_split_norms(round_to_int(f))
-        assert repr((out.a_norm_before, out.a_norm_parts)) == repr((before, parts))
+        got = (split["a_norm_before"], (split["a_norm_f1"], split["a_norm_f2"]))
+        assert repr(got) == repr((before, parts))
 
 
 class TestInductiveStep:
@@ -231,7 +232,9 @@ class TestInductiveStep:
         assert (out.reps.tolist(), out.coeffs.tolist()) == ([0], [1])
         assert out.a_norm_before == pytest.approx(1.0)
         # norm additivity of the split
-        assert sum(out.a_norm_parts) == pytest.approx(out.a_norm_before, abs=1e-9)
+        split = decompose(f.f_int)[1].splits[0]
+        assert split["a_norm_f1"] + split["a_norm_f2"] == pytest.approx(
+            split["a_norm_before"], abs=1e-9)
 
     @given(signed_flat_sums())
     @settings(max_examples=60, deadline=None)
@@ -241,7 +244,7 @@ class TestInductiveStep:
         assert out.certificate.steps_used <= n
         assert out.certificate.worst_mass == 0.0
         assert out.certificate.eta == exact_support_eta(f.ambient)
-        assert out.a_norm_parts[1] == 0.0
+        assert decompose(f)[1].splits[0]["a_norm_f2"] == 0.0
 
 
 class TestDecompose:

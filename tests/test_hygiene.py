@@ -1,12 +1,14 @@
 """Static checks on the package source and its README: every name a
 module imports is read in that module (__init__.py is skipped, since its
 imports are the package's re-exports, and so are ``from __future__``
-imports), and every ``module.attr`` the README names in backticks
-resolves."""
+imports), every function, class and method the package defines is named
+somewhere besides its definition, and every ``module.attr`` the README
+names in backticks resolves."""
 
 import ast
 import importlib
 import re
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -14,7 +16,8 @@ import pytest
 import specnorm
 
 MODULES = sorted(p for p in Path(specnorm.__file__).parent.glob("*.py") if p.name != "__init__.py")
-README = Path(specnorm.__file__).resolve().parents[2] / "README.md"
+ROOT = Path(specnorm.__file__).resolve().parents[2]
+README = ROOT / "README.md"
 # a dotted name right after a backtick, not followed by more of a name or
 # by a glob such as laws.check_*
 _DOTTED = re.compile(r"`([A-Za-z_]\w*(?:\.[A-Za-z_]\w*)+)(?![\w*])")
@@ -47,6 +50,45 @@ def test_scanner_finds_an_unused_import():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_every_import_is_read(path):
     assert unused_imports(path.read_text()) == []
+
+
+def definitions(source: str) -> list[str]:
+    """The top-level functions and classes of source and the methods of its
+    top-level classes, dunders aside."""
+    defs = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+    names = []
+    for node in ast.parse(source).body:
+        if isinstance(node, defs):
+            names.append(node.name)
+        if isinstance(node, ast.ClassDef):
+            names += [m.name for m in node.body if isinstance(m, defs[:2])]
+    return [n for n in names if not (n.startswith("__") and n.endswith("__"))]
+
+
+def unreferenced(names: list[str], texts: list[str]) -> list[str]:
+    """The names that occur in texts, as whole words, only in a def or
+    class statement, sorted."""
+    text = "\n".join(texts)
+    words = Counter(re.findall(r"\w+", text))
+    defined = Counter(re.findall(r"\b(?:def|class)\s+(\w+)", text))
+    return sorted({n for n in names if words[n] == defined[n]})
+
+
+def test_scanner_finds_an_unreferenced_definition():
+    source = (
+        "class A:\n    def __init__(self): pass\n    def used(self): pass\n"
+        "    def unused(self): pass\ndef wrapper(): return A().used()\n"
+    )
+    assert definitions(source) == ["A", "used", "unused", "wrapper"]
+    assert unreferenced(definitions(source), [source]) == ["unused", "wrapper"]
+    assert unreferenced(["wrapper"], [source, "wrapper()"]) == []
+
+
+def test_every_definition_is_referenced():
+    texts = [p.read_text() for d in ("src/specnorm", "tests", "perfbench")
+             for p in (ROOT / d).glob("*.py")]
+    names = [n for p in MODULES for n in definitions(p.read_text())]
+    assert unreferenced(names, texts) == []
 
 
 def module_names(text: str) -> list[str]:

@@ -46,9 +46,9 @@ from specnorm.gf2 import Ambient, trivial
 from specnorm.spectral import (
     a_norm,
     approx_hom_defect,
+    find_spectral_support,
     pd_eval,
     psi,
-    spectral_support_level,
 )
 
 
@@ -168,6 +168,12 @@ class TestChecksSmall:
 
     def test_connectedness(self):
         assert check_connectedness(7, 10, 0).passed
+
+    def test_connectedness_needs_n_2(self):
+        # F_2^1 has no subgroup of dimension 2 for the even trials to draw
+        with pytest.raises(ValueError, match="n >= 2"):
+            check_connectedness(1, 10, 0)
+        assert check_connectedness(2, 10, 0).passed
 
     def test_roundtrip(self):
         rep = check_roundtrip(6, 10, 0)
@@ -429,7 +435,7 @@ def reference_check_approx_hom(n, trials, seed):
         f = RealFn(ambient, rng.uniform(-1, 1, ambient.size))
         g = RealFn(ambient, rng.uniform(-1, 1, ambient.size))
         H = laws.random_subgroup(ambient, rng)
-        eta, _ = spectral_support_level(f, H)
+        eta = find_spectral_support(f, H, math.inf).worst_mass
         defect = approx_hom_defect(f, g, H)
         bound = eta * a_norm(g) + laws.NORM_BOUND_SLACK
         rep.record(bound - defect, {"trial": t, "seed": seed, "n": n})
@@ -444,7 +450,7 @@ def reference_check_power_bound(n, trials, seed):
         k = 2 + t % 4
         f = RealFn(ambient, rng.uniform(-1, 1, ambient.size))
         H = laws.random_subgroup(ambient, rng)
-        eta, _ = spectral_support_level(f, H)
+        eta = find_spectral_support(f, H, math.inf).worst_mass
         m_norm = a_norm(f)
         fk = RealFn(ambient, f.values**k)
         pf = psi(f, H)
