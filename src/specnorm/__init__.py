@@ -6,7 +6,6 @@ from .fourier import (
     Spectrum,
     convolve,
     indicator,
-    inner,
     iwht,
     lp_norm,
     spec_lp_norm,
@@ -18,16 +17,13 @@ from .spectral import (
     NotAlmostInteger,
     SupportCertificate,
     a_norm,
-    approx_hom_defect,
     find_spectral_support,
     is_spectrally_supported,
-    pd_apply,
     pd_eval,
     psi,
     round_to_int,
 )
 from .additive import (
-    ConcentrationParams,
     PointSet,
     SearchBudgetExceeded,
     SetStats,
@@ -35,10 +31,8 @@ from .additive import (
     bogolyubov_subgroup,
     find_concentration_subgroup,
     is_arithmetically_connected,
-    iterated,
     nu4,
     s_eta,
-    set_convolution,
     set_stats,
     spec_set,
     sumset,

@@ -5,9 +5,8 @@ with no exhaustive mode; decompose does not use it).
 
 A PointSet is immutable, so it transforms its indicator at most once
 (``PointSet.spectrum``) and computes its nu4 at most once.  sumset,
-nu4, s_eta, spec_set and bogolyubov_subgroup read those caches, and
-iterated builds kA by doubling (4A = 2A + 2A), so a set's spectrum is
-reused by every law that looks at it.
+nu4, s_eta, spec_set and bogolyubov_subgroup read those caches, so a
+set's spectrum is reused by every law that looks at it.
 
 Each of those steps is an array-level helper (_spectra, _convolutions,
 _sumsets, _nu4s, _level_sets, _spec_sets) that takes one table or an
@@ -147,36 +146,10 @@ def set_stats(A: PointSet) -> SetStats:
     return SetStats(alpha=A.density, doubling=_doubling(sumset(A, A).card, A.card))
 
 
-def set_convolution(A: PointSet, B: PointSet) -> RealFn:
-    """1_A * 1_B, E-normalized, from the two cached spectra: the same
-    operations as fourier.convolve(A.indicator(), B.indicator())."""
-    A._check(B)
-    return RealFn(A.ambient, _convolutions(A.spectrum, B.spectrum))
-
-
 def sumset(A: PointSet, B: PointSet) -> PointSet:
     """{a xor b : a in A, b in B}, via representation counts."""
     A._check(B)
     return PointSet(A.ambient, _sumsets(A.spectrum, B.spectrum))
-
-
-def iterated(A: PointSet, k: int) -> PointSet:
-    """k-fold sumset A + ... + A, by binary doubling (4A = 2A + 2A).
-
-    Each step is one sumset of two sets, whose representation counts are
-    at most 2^n, so the 0.5 threshold separates them as in A + A.
-    """
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    out = None
-    power = A  # A doubled so far: A, 2A, 4A, ...
-    while True:
-        if k & 1:
-            out = power if out is None else sumset(out, power)
-        k >>= 1
-        if not k:
-            return out
-        power = sumset(power, power)
 
 
 def nu4(A: PointSet) -> RealFn:
@@ -259,11 +232,10 @@ def is_arithmetically_connected(A: PointSet, m: int):
     return True, None
 
 
-@dataclass(frozen=True)
-class ConcentrationParams:
-    rhos: tuple[float, ...] = (0.5, 0.25, 0.125)
-    beam_top: int = 16
-    beam_max_size: int = 4
+# the rungs of find_concentration_subgroup's candidate ladder
+BOGOLYUBOV_RHOS = (0.5, 0.25, 0.125)
+BEAM_TOP = 16
+BEAM_MAX_SIZE = 4
 
 
 def _psi_sup(f: RealFn, H: Subgroup) -> float:
@@ -278,14 +250,13 @@ def density_floor(f: AlmostIntFn) -> float:
     return min(1.0, max(2.0**-n, l1 / (8.0 * (m_norm + 1.0))))
 
 
-def find_concentration_subgroup(
-    f: AlmostIntFn, params: ConcentrationParams = ConcentrationParams()
-) -> tuple[Subgroup, float]:
+def find_concentration_subgroup(f: AlmostIntFn) -> tuple[Subgroup, float]:
     """Search for a subgroup H maximizing ||psi_H f||_inf.
 
-    Candidate ladder: Bogolyubov subgroups of the support, a beam over
-    annihilators of small spans of the largest frequencies, and the
-    trivial subgroup as an unconditional fallback.  There is no
+    Candidate ladder: the Bogolyubov subgroup of the support at each rho
+    in BOGOLYUBOV_RHOS, a beam over the annihilators of the spans of up
+    to BEAM_MAX_SIZE of the BEAM_TOP largest nonzero frequencies, and
+    the trivial subgroup as an unconditional fallback.  There is no
     exhaustive mode.
     """
     if not np.any(f.f_int.values):
@@ -295,13 +266,13 @@ def find_concentration_subgroup(
     support = PointSet(ambient, f.f_int.values != 0)
 
     candidates: list[Subgroup] = []
-    for rho in params.rhos:
+    for rho in BOGOLYUBOV_RHOS:
         candidates.append(bogolyubov_subgroup(support, rho))
 
     coeffs = wht(f.f).coeffs
     order = np.lexsort((np.arange(ambient.size), -np.abs(coeffs)))
-    top = [int(r) for r in order[: params.beam_top] if r != 0]
-    for size in range(1, params.beam_max_size + 1):
+    top = [int(r) for r in order[:BEAM_TOP] if r != 0]
+    for size in range(1, BEAM_MAX_SIZE + 1):
         if size > len(top):
             break
         for R in combinations(top, size):

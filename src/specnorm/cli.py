@@ -58,13 +58,13 @@ def cmd_wht(args) -> int:
     residual = abs(float(np.mean((f.values * scale)**2)) - float(np.sum((s.coeffs * scale)**2)))
     with np.errstate(over="ignore"):  # a residual past float64 reads inf
         parseval = float(np.ldexp(residual, 2 * e))
-    print(f"a_norm={fourier.spec_lp_norm(s, 1)!r}")
-    print(f"linf={linf!r}")
-    print(f"parseval_residual={parseval!r}")
-    if args.out:
+    if args.out:  # written first, so that a failed write prints nothing
         with open(args.out, "w") as fh:
             json.dump(spectrum_to_json(s), fh, indent=1)
             fh.write("\n")
+    print(f"a_norm={fourier.spec_lp_norm(s, 1)!r}")
+    print(f"linf={linf!r}")
+    print(f"parseval_residual={parseval!r}")
     return EXIT_OK
 
 
@@ -98,15 +98,17 @@ def cmd_decompose(args) -> int:
     return EXIT_OK if report.exact else EXIT_INCOMPLETE
 
 
-# verify's --n, --trials and --seed default to None, so that a flag given
-# to a law that does not read it is refused rather than dropped
-VERIFY_UNREAD = {"tiny-norm": ("trials", "seed"), "pd": ("n", "trials", "seed")}
+# The flags that each (command, law or kind) does not read.  Those flags
+# default to None, so that main refuses one given there rather than drop it.
+UNREAD = {
+    ("verify", "tiny-norm"): ("trials", "seed"),
+    ("verify", "pd"): ("n", "trials", "seed"),
+    ("gen", "random-boolean"): ("flats", "depth"),
+    ("gen", "subgroup"): ("flats", "depth"),
+}
 
 
 def cmd_verify(args) -> int:
-    for flag in VERIFY_UNREAD.get(args.law, ()):
-        if getattr(args, flag) is not None:
-            raise ValueError(f"verify {args.law} does not take --{flag}")
     if args.n is not None:
         n = args.n  # each law that reads n checks it with Ambient(n)
     else:  # the exhaustive tiny-norm sweep stops at n = 4
@@ -139,7 +141,9 @@ def cmd_gen(args) -> int:
     ambient = Ambient(args.n)
     rng = rng_for(args.seed)
     if args.kind == "coset-ring":
-        f, record = gen_coset_ring(ambient, args.flats, args.depth, rng)
+        flats = 2 if args.flats is None else args.flats
+        depth = 1 if args.depth is None else args.depth
+        f, record = gen_coset_ring(ambient, flats, depth, rng)
     elif args.kind == "random-boolean":
         f = gen_random_boolean(ambient, rng)
         record = {"n": args.n, "kind": "random-boolean", "seed": args.seed}
@@ -279,8 +283,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("gen", help="generate a test instance")
     sp.add_argument("kind", choices=["coset-ring", "random-boolean", "subgroup"])
     sp.add_argument("--n", type=int, required=True)
-    sp.add_argument("--flats", type=int, default=2)
-    sp.add_argument("--depth", type=int, default=1)
+    sp.add_argument("--flats", type=int, help="default 2; coset-ring only")
+    sp.add_argument("--depth", type=int, help="default 1; coset-ring only")
     sp.add_argument("--seed", type=int, default=0)
     sp.add_argument("--out", required=True)
     sp.set_defaults(fn=cmd_gen)
@@ -303,8 +307,13 @@ def main(argv=None) -> int:
     # The one input boundary.  OSError: a file that cannot be read or
     # written.  ValueError: MalformedInput, NotAlmostInteger, JSONDecodeError
     # and UnicodeDecodeError derive from it; Ambient, Subgroup.from_json,
-    # DecomposeParams and gen_coset_ring raise it.
+    # DecomposeParams and gen_coset_ring raise it, and so does a flag given
+    # where UNREAD lists it.
     try:
+        which = (args.command, vars(args).get("law", vars(args).get("kind")))
+        for flag in UNREAD.get(which, ()):
+            if getattr(args, flag) is not None:
+                raise ValueError(f"{' '.join(which)} does not take --{flag}")
         return args.fn(args)
     except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -182,11 +182,6 @@ def spec_lp_norm(s: Spectrum, p) -> float:
     return float(np.sum(a**p) ** (1.0 / p))
 
 
-def inner(f: RealFn, g: RealFn) -> float:
-    f._check(g)
-    return float(np.mean(f.values * g.values))
-
-
 SPECTRUM_JSON_FLOOR = 1e-12
 
 

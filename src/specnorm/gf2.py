@@ -132,18 +132,6 @@ class Subgroup:
             gens.append(r)
         return Subgroup(self.ambient, tuple(_rref_words(gens)))
 
-    def intersect(self, other: "Subgroup") -> "Subgroup":
-        if self.ambient != other.ambient:
-            raise AmbientMismatch("subgroups in different ambients")
-        joined = rref_span(
-            self.ambient,
-            list(self.annihilator().basis) + list(other.annihilator().basis),
-        )
-        return joined.annihilator()
-
-    def is_subset_of(self, other: "Subgroup") -> bool:
-        return all(other.contains(b) for b in self.basis)
-
     def to_json(self) -> list[str]:
         return [point_to_hex(b) for b in self.basis]
 

@@ -7,8 +7,7 @@ spectral-support finder descends from H one codimension at a time,
 each step swallowing an offending coset of ell^1 spectral mass; run
 with eta = inf it takes no step, and its certificate's worst_mass is
 the support level of f on H.  pd_eval evaluates the integer-detecting
-polynomial p_d at a float or over a whole array, and pd_apply applies
-it to a table.
+polynomial p_d at a float or entrywise over an array.
 
 psi and the descent run on coset sums computed without transforms,
 in quotient coordinates: the cosets of S are indexed by their smallest
@@ -33,7 +32,7 @@ import numpy as np
 
 from . import fourier
 from .fourier import RealFn
-from .gf2 import Subgroup, point_to_hex, rref_span
+from .gf2 import Subgroup, rref_span
 
 
 class NotAlmostInteger(ValueError):
@@ -56,15 +55,6 @@ class SupportCertificate:
     worst_coset_rep: int
     worst_mass: float
     steps_used: int
-
-    def to_json(self) -> dict:
-        return {
-            "subgroup": self.subgroup.to_json(),
-            "eta": self.eta,
-            "steps": self.steps_used,
-            "worst_coset": point_to_hex(self.worst_coset_rep),
-            "worst_mass": self.worst_mass,
-        }
 
 
 def _abs_spectrum(table: np.ndarray) -> np.ndarray:
@@ -208,11 +198,6 @@ def _descent(sums: np.ndarray, H: Subgroup, eta: float) -> SupportCertificate:
     )
 
 
-def approx_hom_defect(f: RealFn, g: RealFn, H: Subgroup) -> float:
-    """a_norm(psi_H(fg) - psi_H(f) psi_H(g))."""
-    return a_norm(psi(f * g, H) - psi(f, H) * psi(g, H))
-
-
 MAX_PD_DEGREE = 12  # (2d)! stays exactly representable territory
 
 
@@ -226,10 +211,6 @@ def pd_eval(t: float | np.ndarray, d: int) -> float | np.ndarray:
     for j in range(-d, d + 1):
         out = out * (t - j)
     return out
-
-
-def pd_apply(f: RealFn, d: int) -> RealFn:
-    return RealFn(f.ambient, pd_eval(f.values, d))
 
 
 ROUND_GUARD = 0.5 - 1e-9

@@ -16,7 +16,6 @@ from specnorm.additive import (
     bogolyubov_subgroup,
     find_concentration_subgroup,
     is_arithmetically_connected,
-    iterated,
     nu4,
     s_eta,
     set_stats,
@@ -54,20 +53,6 @@ class TestSumset:
         A = PointSet.from_points(a, pts)
         want = {p ^ q for p in pts for q in pts}
         assert set(sumset(A, A).points()) == want
-
-    def test_iterated(self):
-        a = Ambient(4)
-        A = PointSet.from_points(a, [0b0001, 0b0010])
-        assert np.array_equal(iterated(A, 1).members, A.members)
-        assert set(iterated(A, 2).points()) == {0, 0b0011}
-        assert set(iterated(A, 3).points()) == {0b0001, 0b0010}
-        with pytest.raises(ValueError):
-            iterated(A, 0)
-
-    def test_empty(self):
-        a = Ambient(3)
-        empty = PointSet(a, np.zeros(8, dtype=bool))
-        assert iterated(empty, 2).card == 0
 
 
 class TestNu4:
@@ -266,14 +251,6 @@ def reference_sumset(A, B):
     return counts > 0.5
 
 
-def reference_iterated(A, k):
-    """iterated's members as a left fold, ((A + A) + A) + ..."""
-    out = A
-    for _ in range(k - 1):
-        out = PointSet(A.ambient, reference_sumset(out, A))
-    return out.members
-
-
 def reference_nu4(A):
     c = wht(A.indicator()).coeffs
     return iwht(Spectrum(A.ambient, c**4)).values
@@ -301,7 +278,7 @@ def set_pairs(draw):
 
 
 class TestCachedSpectraMatchReferences:
-    """sumset, iterated, nu4 and spec_set read the set's cached spectrum;
+    """sumset, nu4 and spec_set read the set's cached spectrum;
     each must equal the transform-per-call reference bit for bit."""
 
     @given(set_pairs())
@@ -309,11 +286,6 @@ class TestCachedSpectraMatchReferences:
     def test_sumset(self, AB):
         A, B = AB
         assert np.array_equal(sumset(A, B).members, reference_sumset(A, B))
-
-    @given(point_sets(), st.integers(1, 6))
-    @settings(max_examples=100, deadline=None)
-    def test_iterated_by_doubling(self, A, k):
-        assert np.array_equal(iterated(A, k).members, reference_iterated(A, k))
 
     @given(point_sets(), st.sampled_from([0.125, 0.25, 0.5, 0.75, 1.0]))
     @settings(max_examples=100, deadline=None)
@@ -330,8 +302,7 @@ class TestCachedSpectraMatchReferences:
     def test_empty_set(self, n):
         a = Ambient(n)
         E = PointSet(a, np.zeros(a.size, dtype=bool))
-        for k in range(1, 7):
-            assert iterated(E, k).card == 0
+        assert sumset(E, E).card == 0
         assert sumset(E, PointSet(a, np.ones(a.size, dtype=bool))).card == 0
         assert np.array_equal(spec_set(E, 0.5).members, reference_spec_set(E, 0.5))
 
@@ -450,7 +421,7 @@ class TestConcentrationSearch:
         f = round_to_int(flat_indicator(H, 0))
         got, score = find_concentration_subgroup(f)
         assert score == pytest.approx(1.0, abs=1e-9)
-        assert H.is_subset_of(got)
+        assert all(got.contains(b) for b in H.basis)
 
     def test_coset_indicator(self):
         a = Ambient(5)

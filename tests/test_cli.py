@@ -481,6 +481,17 @@ class TestGenCmd:
         record = json.loads((tmp_path / "g.txt.json").read_text())
         assert record["n"] == 6
 
+    def test_coset_ring_defaults(self, tmp_path):
+        # without --flats and --depth, coset-ring builds 2 flats at depth 1
+        outs = [tmp_path / "default.txt", tmp_path / "given.txt"]
+        flags = [[], ["--flats", "2", "--depth", "1"]]
+        for out, extra in zip(outs, flags):
+            argv = ["gen", "coset-ring", "--n", "6", "--seed", "4", "--out", str(out)]
+            assert main(argv + extra) == EXIT_OK
+        for suffix in ("", ".json"):
+            want = (tmp_path / ("given.txt" + suffix)).read_bytes()
+            assert (tmp_path / ("default.txt" + suffix)).read_bytes() == want
+
     def test_deterministic(self, tmp_path):
         a_out = tmp_path / "a.txt"
         b_out = tmp_path / "b.txt"
@@ -623,6 +634,10 @@ class TestBenchCmd:
         ["verify", "tiny-norm", "--seed", "1"],
         ["gen", "coset-ring", "--n", "6", "--depth", "-1", "--out", "OUT"],
         ["verify", "connectedness", "--n", "1"],
+        ["gen", "random-boolean", "--n", "4", "--flats", "7", "--out", "OUT"],
+        ["gen", "random-boolean", "--n", "4", "--depth", "-3", "--out", "OUT"],
+        ["gen", "subgroup", "--n", "4", "--flats", "2", "--out", "OUT"],
+        ["gen", "subgroup", "--n", "4", "--depth", "1", "--out", "OUT"],
     ],
     ids=["psi-subgroup-int", "psi-subgroup-int-word", "gen-flats-0",
          "verify-tiny-norm-n6", "verify-roundtrip-n30",
@@ -634,7 +649,9 @@ class TestBenchCmd:
          "anorm-input-after-bits",
          "verify-pd-n", "verify-pd-trials", "verify-pd-seed",
          "verify-tiny-norm-trials", "verify-tiny-norm-seed",
-         "gen-depth-negative", "verify-connectedness-n1"],
+         "gen-depth-negative", "verify-connectedness-n1",
+         "gen-random-boolean-flats", "gen-random-boolean-depth",
+         "gen-subgroup-flats", "gen-subgroup-depth"],
 )
 def test_bad_flags_exit_2(argv, coset_table, tmp_path, capsys):
     binary = tmp_path / "binary.txt"
@@ -646,9 +663,11 @@ def test_bad_flags_exit_2(argv, coset_table, tmp_path, capsys):
              "BINARY": str(binary), "DIR": str(tmp_path), "TRAILING": str(trailing)}
     argv = [paths.get(a, a) for a in argv]
     assert main(argv) == EXIT_BAD_INPUT
-    err = capsys.readouterr().err
+    out, err = capsys.readouterr()
+    assert out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
     assert "Traceback" not in err
+    assert not os.path.exists(paths["OUT"])
 
 
 @pytest.mark.parametrize("text", MALFORMED)

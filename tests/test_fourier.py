@@ -12,7 +12,6 @@ from specnorm.fourier import (
     constant,
     convolve,
     indicator,
-    inner,
     iwht,
     lp_norm,
     spec_lp_norm,
@@ -236,23 +235,12 @@ class TestNorms:
 
 
 class TestInner:
-    def test_with_zero(self):
-        a = Ambient(3)
-        f = constant(a, 2.0)
-        assert inner(f, zeros(a)) == 0.0
-
-    def test_subgroup_indicator(self):
-        a = Ambient(3)
-        H = rref_span(a, [0b011])
-        ind = flat_indicator(H, 0)
-        assert inner(ind, ind) == pytest.approx(np.mean(ind.values))
-
     def test_plancherel(self):
         rng = np.random.default_rng(5)
         a = Ambient(6)
         f = RealFn(a, rng.uniform(-1, 1, a.size))
         g = RealFn(a, rng.uniform(-1, 1, a.size))
-        assert inner(f, g) == pytest.approx(
+        assert float(np.mean(f.values * g.values)) == pytest.approx(
             float(np.sum(wht(f).coeffs * wht(g).coeffs)), abs=1e-12
         )
 
@@ -261,7 +249,7 @@ class TestInner:
         a = Ambient(2)
         f = RealFn(a, THREE_CORNER)
         phi = RealFn(a, [4.0, 4.0, 4.0, -4.0])
-        assert inner(f, phi) == pytest.approx(3.0)
+        assert float(np.mean(f.values * phi.values)) == pytest.approx(3.0)
         assert np.max(np.abs(wht(phi).coeffs)) == pytest.approx(2.0)
 
 

@@ -34,18 +34,16 @@ from specnorm.laws import (
 from specnorm.additive import (
     PointSet,
     bogolyubov_subgroup,
-    iterated,
     s_eta,
-    set_convolution,
     set_stats,
+    sumset,
 )
-from specnorm.fourier import RealFn, lp_norm
+from specnorm.fourier import RealFn, convolve, lp_norm
 from specnorm.decompose import decompose
 from specnorm.generate import gen_coset_ring, random_subgroup, rng_for
 from specnorm.gf2 import Ambient, trivial
 from specnorm.spectral import (
     a_norm,
-    approx_hom_defect,
     find_spectral_support,
     pd_eval,
     psi,
@@ -436,7 +434,7 @@ def reference_check_approx_hom(n, trials, seed):
         g = RealFn(ambient, rng.uniform(-1, 1, ambient.size))
         H = laws.random_subgroup(ambient, rng)
         eta = find_spectral_support(f, H, math.inf).worst_mass
-        defect = approx_hom_defect(f, g, H)
+        defect = a_norm(psi(f * g, H) - psi(f, H) * psi(g, H))
         bound = eta * a_norm(g) + laws.NORM_BOUND_SLACK
         rep.record(bound - defect, {"trial": t, "seed": seed, "n": n})
     return rep
@@ -488,7 +486,7 @@ def reference_check_lemma13(n, trials, seed):
         eta = 1.0 / (2.0 * K**4)
         S = s_eta(A, eta)
         m1 = S.density - stats.alpha / 2.0 + laws.DENSITY_SLACK
-        sup = lp_norm(set_convolution(A, S), math.inf)
+        sup = lp_norm(convolve(A.indicator(), S.indicator()), math.inf)
         m2 = sup - eta * stats.alpha / 2.0 + laws.DENSITY_SLACK
         rep.record(min(m1, m2), {"trial": t, "seed": seed, "n": n, "K": K})
     return rep
@@ -501,7 +499,8 @@ def reference_check_plunnecke_instances(n, trials, seed):
         rng = rng_for(seed, t)
         A = laws._random_set(ambient, rng)
         stats = set_stats(A)
-        four = iterated(A, 4)
+        two = sumset(A, A)
+        four = sumset(two, two)
         margin = stats.doubling**4 * stats.alpha - four.density + laws.DENSITY_SLACK
         rep.record(margin, {"trial": t, "seed": seed, "n": n, "K": stats.doubling})
     return rep
