@@ -20,6 +20,10 @@ each row comes out bit for bit as its own 1-D transform.  At n <= 4 a
 1-D table takes numpy's vector path and a stack the matrix path, which
 agree to within rounding; a stack of one row is padded onto the matrix
 path, so a row's transform never depends on how many rows share it.
+
+Rows longer than 2^BLOCK_BITS entries are transformed in cache-sized
+pieces (_wht_blocked) with the same stages, so with the same bits, and
+one fresh output array per call; shorter rows take whole-table stages.
 """
 
 from __future__ import annotations
@@ -33,6 +37,12 @@ from .gf2 import Ambient, AmbientMismatch, point_to_hex
 
 BACKEND = "numpy-radix16"
 RADIX_BITS = 4
+# A piece of 2^BLOCK_BITS float64 entries is 512 KiB, within a 2 MiB L2
+# cache.  BLOCK_BITS is a multiple of 2 * RADIX_BITS, so a piece takes an
+# even number of whole radix stages and the short stage stays last.
+# Pieces of 2^8 took 86 ms at n = 20 against 10 ms, and 2^15 would
+# regroup the stages and change the bits.
+BLOCK_BITS = 16
 
 
 def sylvester(N: int) -> np.ndarray:
@@ -56,6 +66,8 @@ def _wht(a: np.ndarray) -> np.ndarray:
     """
     n = a.shape[-1].bit_length() - 1
     k = min(RADIX_BITS, n)
+    if n > BLOCK_BITS:
+        return _wht_blocked(a, n)
     out = a.reshape(-1, 1 << k)
     if a.ndim > 1 and out.shape[0] == 1:
         # numpy multiplies a lone row (n <= 4) on its vector path, whose sums
@@ -69,6 +81,36 @@ def _wht(a: np.ndarray) -> np.ndarray:
         out = _SYLVESTER[k] @ out.reshape(-1, 1 << k, 1 << lo)
         lo += k
     return out.reshape(a.shape)
+
+
+def _wht_blocked(a: np.ndarray, n: int) -> np.ndarray:
+    """_wht for n > BLOCK_BITS.  The stages below bit BLOCK_BITS run on one
+    piece of 2^BLOCK_BITS entries at a time, alternating between a
+    piece-sized temporary and the piece's place in the output.  Each later
+    stage runs in place, one column slab of the (outer, 2^k, 2^lo) view at
+    a time, through the same temporary.  Every entry is the same matrix
+    product of the same stage inputs as on a whole-table stage."""
+    out = np.empty(a.shape)
+    tmp = np.empty(1 << BLOCK_BITS)
+    S = _SYLVESTER[RADIX_BITS]
+    for src, dst in zip(a.reshape(-1, 1 << BLOCK_BITS), out.reshape(-1, 1 << BLOCK_BITS)):
+        np.matmul(src.reshape(-1, 1 << RADIX_BITS), S, out=tmp.reshape(-1, 1 << RADIX_BITS))
+        x, y = tmp, dst  # an even number of stages: the last lands in dst
+        for lo in range(RADIX_BITS, BLOCK_BITS, RADIX_BITS):
+            view = (-1, 1 << RADIX_BITS, 1 << lo)
+            np.matmul(S, x.reshape(view), out=y.reshape(view))
+            x, y = y, x
+    lo = BLOCK_BITS
+    while lo < n:
+        k = min(RADIX_BITS, n - lo)
+        t = tmp.reshape(1 << k, -1)
+        for rows in out.reshape(-1, 1 << k, 1 << lo):
+            for c in range(0, 1 << lo, t.shape[1]):
+                slab = rows[:, c:c + t.shape[1]]
+                np.matmul(_SYLVESTER[k], slab, out=t)
+                slab[...] = t
+        lo += k
+    return out
 
 
 def _as_table(ambient: Ambient, values) -> np.ndarray:

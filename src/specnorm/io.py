@@ -196,7 +196,8 @@ def read_truth_table(path: str) -> RealFn:
             raise MalformedInput(f"bits= needs exactly {ambient.size} chars of 0/1")
         if _BLANK.match(text, end).end() != len(text):
             raise MalformedInput("unexpected content after the bits= line")
-        return RealFn(ambient, bits.astype(np.float64))
+        # entries 0 and 1: nothing for RealFn's finiteness scan to find
+        return RealFn._unchecked(ambient, bits.astype(np.float64))
     if text.startswith("real=", start):
         try:
             vals = _short_reals(text, start + 5, ambient.size)

@@ -381,7 +381,7 @@ def check_approx_hom(n: int, trials: int, seed: int) -> LawReport:
         norm_g = spectral._abs_spectrum(G).sum(axis=-1).tolist()
         D = np.empty_like(F)
         for i, H in enumerate(Hs):
-            fg, pf, pg = spectral._coset_sums(np.stack((F[i] * G[i], F[i], G[i])), H) / H.size
+            fg, pf, pg = spectral._coset_sums(np.stack((F[i] * G[i], F[i], G[i])), H, H.size)
             D[i] = fg - pf * pg
         defect = spectral._abs_spectrum(D).sum(axis=-1).tolist()
         return [
@@ -405,7 +405,7 @@ def check_power_bound(n: int, trials: int, seed: int) -> LawReport:
         ks = [2 + t % 4 for t in block]
         D = np.empty_like(F)
         for i, H in enumerate(Hs):
-            pf, pfk = spectral._coset_sums(np.stack((F[i], F[i]**ks[i])), H) / H.size
+            pf, pfk = spectral._coset_sums(np.stack((F[i], F[i]**ks[i])), H, H.size)
             D[i] = pfk - pf**ks[i]
         lhs = spectral._abs_spectrum(D).sum(axis=-1).tolist()
         return [

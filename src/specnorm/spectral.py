@@ -12,15 +12,17 @@ polynomial p_d at a float or entrywise over an array.
 psi and the descent run on coset sums computed without transforms,
 in quotient coordinates: the cosets of S are indexed by their smallest
 members, the words with every RREF pivot bit of S clear, which
-gf2.Subgroup.coset_minima lists and free_bits indexes; this module
-reads no pivot bit itself.  psi sums f over the cosets of H and divides by |H|.
-The descent sums |fhat| over the cosets of H^perp once, keeps one sum
-per coset, and each step pairs those cosets along the adjoined word, so
-its array halves at every step.  On large tables over subgroups of
-dimension >= FRAME_MIN_DIM, _coset_sums gathers the table once into
-S's frame, halves it once per basis word and scatters the sums back;
-elsewhere it folds the whole table once per basis word.  Both add the
-same pairs in the same tree, so they agree bit for bit.
+gf2.Subgroup.coset_minima lists and free_bits indexes.  _halve adds the
+pairs of entries that differ by one word, keeps each sum at the member
+with the word's top bit clear and drops that index bit, so one _halve
+per basis word of S, in RREF order, leaves one sum per coset in
+coset_minima order; _spread copies each sum back to both members.
+From n = FRAME_MIN_N, _coset_sums halves, divides (psi divides by |H|)
+and spreads, so the division runs on the quotient, and each gather reads
+pieces of 2^fourier.BLOCK_BITS entries; below it _coset_sums folds the
+whole table once per basis word.  The descent halves |fhat| onto the cosets
+of H^perp once, and each step halves along the adjoined word.  Every
+path adds the same pairs in the same tree, so they agree bit for bit.
 """
 
 from __future__ import annotations
@@ -31,7 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import fourier
-from .fourier import RealFn
+from .fourier import BLOCK_BITS, RealFn
 from .gf2 import Subgroup, rref_span
 
 
@@ -74,50 +76,128 @@ def psi(f: RealFn, H: Subgroup) -> RealFn:
     """Average f over cosets of H (spectrum restricted to H^perp)."""
     if f.ambient != H.ambient:
         raise fourier.AmbientMismatch("function and subgroup ambients differ")
-    return RealFn(f.ambient, _coset_sums(f.values, H) / H.size)
+    return RealFn(f.ambient, _coset_sums(f.values, H, H.size))
 
 
-# _coset_sums gathers into S's frame only at n >= FRAME_MIN_N and
-# dim S >= FRAME_MIN_DIM.  Frame/fold time ratios (BENCH_13.json): at
-# n = 16..20, 0.97-1.4 for dim 1, 0.70-0.93 for dim 2 and 0.14-0.5 for
-# dims n/2 and up.  Below n = 16 the fold wins up to dim 3 on most runs
-# and the frame only at larger dims (0.47 at n = 14, dim 10).
+# _coset_sums runs on the quotient from n = FRAME_MIN_N and folds below it.
+# Quotient/fold time ratios over dims 1, 2, n/2 and n - 2: 3.8-6.1 at n = 8,
+# 1.3-1.7 at n = 12, 0.6-1.1 at n = 14, 0.5-0.9 at n = 15, 0.4-0.9 at n = 16.
 FRAME_MIN_N = 16
-FRAME_MIN_DIM = 2
+# _halve and _spread gather the partner half with takes when w's top bit
+# p is at least TAKE_MIN_BIT, and one column of the 2^p-wide view at a
+# time below it.  Over 2^20 entries, at p = 1..2 a halving took 4.5-7.5 ms
+# by takes against 1.3-3.0 ms by columns and a spread 5.9-11 ms against
+# 2.7-5.5 ms; at p = 3 a halving took 3.0-5.3 ms against 4.6-5.4 ms and a
+# spread 3.7-8.6 ms against 10.5-13.4 ms.
+TAKE_MIN_BIT = 3
 
 
-def _coset_sums(table: np.ndarray, S: Subgroup) -> np.ndarray:
-    """out[..., x] = sum of table[..., :] over the coset x + S, for every x
-    and for a (2^n,) table or each row of an (m, 2^n) stack.
+def _xor_take(a: np.ndarray, low: int, out: np.ndarray) -> None:
+    """out[..., i, j] = a[..., i, j ^ low] for a (..., R, 2^p) array a and
+    low < 2^p, one piece of about 2^BLOCK_BITS entries at a time: m
+    entries of a row, or whole rows when a row is shorter.  XOR by low
+    maps the m entries from j = c on onto the m entries of a from c ^ top,
+    top being low's bits from m up, and permutes them by low's bits below
+    m, so every piece is one take through the same m-entry index."""
+    rows, size = a.shape[-2:]
+    m = min(size, 1 << BLOCK_BITS)
+    idx = np.arange(m)
+    idx ^= low & (m - 1)
+    top = low & -m
+    step = (1 << BLOCK_BITS) // m  # rows a piece
+    for i in range(0, rows, step):
+        for c in range(0, size, m):
+            src = a[..., i:i + step, c ^ top:(c ^ top) + m]
+            # every index is in range; "clip" spares the copy of out that
+            # take buffers under the default mode
+            np.take(src, idx, axis=-1, out=out[..., i:i + step, c:c + m], mode="clip")
 
-    The fold: one XOR-gather per basis word over the whole table, the
-    sums over span(D, b) being s + s[x ^ b] for the sums s over D.  Each
-    fold is symmetric in x and x ^ b, so the result is bit-for-bit
-    constant on every coset.  For the trivial S it is table itself.
 
-    The frame path, at n >= FRAME_MIN_N and dim S >= FRAME_MIN_DIM:
-    gather the table once into the (|S|, cosets) frame, sorted members
-    of S XOR the coset minima; halve the member axis once per basis word
-    (s[:h] + s[h:]); scatter the sums back once.  Sorted members put
-    basis[0], on the top pivot, on the top bit of the row index, so each
-    halving adds the pairs of the fold's own step in the same order up
-    to a + b == b + a: the bits are the fold's.
+def _halve(s: np.ndarray, w: int, out: np.ndarray | None = None) -> np.ndarray:
+    """Sum the pairs {i, i ^ w} of the last axis of s, keeping each sum at
+    the member whose bit p, w's top bit, is clear, as s[i] + s[i ^ w];
+    w has no bit above p.  The result, written to out when given, drops
+    index bit p: its entry j is the sum at the member i with the bits of
+    j above p moved up one.  An s of one piece, as in most descent steps,
+    takes a single gather."""
+    p = w.bit_length() - 1
+    low = w ^ (1 << p)
+    h = s.reshape(s.shape[:-1] + (-1, 2, 1 << p))
+    o = None if out is None else out.reshape(h.shape[:-2] + (1 << p,))
+    if p >= TAKE_MIN_BIT and s.size <= 1 << BLOCK_BITS:
+        o = np.add(h[..., 0, :], h[..., 1, :].take(np.arange(1 << p) ^ low, axis=-1), out=o)
+    else:
+        if o is None:
+            o = np.empty(h.shape[:-2] + (1 << p,))
+        if p >= TAKE_MIN_BIT:
+            _xor_take(h[..., 1, :], low, o)
+            np.add(h[..., 0, :], o, out=o)
+        else:
+            for j in range(1 << p):
+                np.add(h[..., 0, j], h[..., 1, j ^ low], out=o[..., j])
+    return o.reshape(s.shape[:-1] + (-1,))
+
+
+def _spread(s: np.ndarray, w: int, out: np.ndarray) -> None:
+    """The inverse layout of _halve: each entry of the last axis of s goes
+    to both members of its pair {i, i ^ w} in out, which has twice the
+    entries and ends constant on every pair."""
+    p = w.bit_length() - 1
+    low = w ^ (1 << p)
+    r = s.reshape(s.shape[:-1] + (-1, 1 << p))
+    o = out.reshape(r.shape[:-1] + (2, 1 << p))
+    if p >= TAKE_MIN_BIT:
+        o[..., 0, :] = r
+        _xor_take(r, low, o[..., 1, :])
+    else:
+        for j in range(1 << p):
+            o[..., 0, j] = r[..., j]
+            o[..., 1, j ^ low] = r[..., j]
+
+
+def _coset_sums(table: np.ndarray, S: Subgroup, divisor: int | None = None) -> np.ndarray:
+    """out[..., x] = the sum of table[..., :] over the coset x + S, divided
+    by divisor when one is given, for every x and for a (2^n,) table or
+    each row of an (m, 2^n) stack.
+
+    Below n = FRAME_MIN_N, the fold: one XOR-gather per basis word over
+    the whole table, the sums over span(D, b) being s + s[x ^ b] for the
+    sums s over D.  Each fold is symmetric in x and x ^ b, so the result
+    is bit-for-bit constant on every coset.  For the trivial S and no
+    divisor it is table itself.
+
+    From n = FRAME_MIN_N, the quotient: _halve once per basis word, in
+    basis order, divide, then _spread once per word in reverse.  Each RREF
+    word has no bit at an earlier word's pivot or above it, so it keeps
+    its value in the halved coordinates, and each halving adds the pairs
+    of the fold's own step in the same order up to a + b == b + a: the
+    bits are the fold's.  Level k of the halving, 2^(n-k) sums a row, is
+    written to a temporary for k = 1 and packed into the output for
+    k >= 2, which only the last spread, from level 1, overwrites: a call
+    allocates two arrays whatever dim S is.  With a fresh array per level,
+    psi at n = 20 took about 2,500 minor page faults a call instead of
+    under 200.
     """
     n = table.shape[-1].bit_length() - 1
-    if n < FRAME_MIN_N or S.dim < FRAME_MIN_DIM:
-        out = table
+    if n < FRAME_MIN_N or not S.dim:
         idx = np.arange(table.shape[-1])
         for b in S.basis:
-            out = out + out.take(idx ^ b, axis=-1)
-        return out
-    frame = np.sort(S.element_array())[:, None] ^ S.coset_minima()
-    s = table.take(frame, axis=-1)
-    h = S.size
-    while h > 1:
-        h //= 2
-        s = s[..., :h, :] + s[..., h:, :]
-    out = np.empty(table.shape, dtype=s.dtype)
-    out[..., frame] = s
+            table = table + table.take(idx ^ b, axis=-1)
+        return table if divisor is None else table / divisor
+    out = np.empty(table.shape)
+    lead, size = table.shape[:-1], table.shape[-1]
+    levels = [table, np.empty(lead + (size >> 1,))]
+    start = 0
+    for k in range(2, S.dim + 1):
+        levels.append(out[..., start:start + (size >> k)])
+        start += size >> k
+    for k, b in enumerate(S.basis, 1):
+        _halve(levels[k - 1], b, levels[k])
+    if divisor is not None:
+        np.divide(levels[-1], divisor, out=levels[-1])
+    levels[0] = out
+    for k in range(S.dim, 0, -1):
+        _spread(levels[k], S.basis[k - 1], levels[k - 1])
     return out
 
 
@@ -156,20 +236,19 @@ def _descent(sums: np.ndarray, H: Subgroup, eta: float) -> SupportCertificate:
     The descent runs on the quotient by the dual span D: sums[i] is the
     mass of the coset whose smallest word is D.coset_minima()[i], so
     i = 0 is D itself, and those words increase with i.  The start
-    D = H^perp is summed by _coset_sums and compressed onto its minima
-    once; a trivial D needs neither, as sums already has one entry per
-    coset.  Adjoining the word of coset c pairs coset i
-    with coset i ^ c.  With p the top bit of c, the one of the two with
-    bit p of i clear holds the smaller word and keeps the pair's sum,
-    added in the order the whole-table fold added it.  So the array
-    halves at every step, D's new minima are the old ones with bit p
-    clear, and the smallest word of a worst coset sits at the first
+    D = H^perp is one _halve per basis word, the halvings of _coset_sums'
+    quotient.  Adjoining the word of coset c is one more _halve, by c: it
+    pairs coset i with coset i ^ c, and with p the top bit of c, the one
+    of the two with bit p of i clear holds the smaller word and keeps the
+    pair's sum, added in the order the whole-table fold added it.  So the
+    array halves at every step, D's new minima are the old ones with bit
+    p clear, and the smallest word of a worst coset sits at the first
     index within TIE_SLACK of the largest off-D mass.
     """
     ambient = H.ambient
     dual = H.annihilator()
-    if dual.dim:
-        sums = _coset_sums(sums, dual)[dual.coset_minima()]
+    for b in dual.basis:
+        sums = _halve(sums, b)
     free = dual.free_bits()  # index bit k of sums is word bit free[k]
     reps = []
     while True:
@@ -182,11 +261,8 @@ def _descent(sums: np.ndarray, H: Subgroup, eta: float) -> SupportCertificate:
         rep = sum(1 << free[k] for k in range(c.bit_length()) if (c >> k) & 1)
         if worst <= eta:
             break
-        p = c.bit_length() - 1
-        halves = sums.reshape(-1, 2, 1 << p)
-        partner = np.arange(1 << p) ^ (c ^ (1 << p))
-        sums = (halves[:, 0, :] + halves[:, 1, :].take(partner, axis=1)).ravel()
-        del free[p]
+        sums = _halve(sums, c)
+        del free[c.bit_length() - 1]
         reps.append(rep)
     return SupportCertificate(
         # (H^perp)^perp = H

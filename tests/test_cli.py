@@ -1,6 +1,8 @@
 import json
 import math
 import os
+import subprocess
+import sys
 import tempfile
 from unittest import mock
 
@@ -544,7 +546,7 @@ class TestBenchCmd:
         doc = json.loads(capsys.readouterr().out)
         assert (doc["what"], doc["n"], doc["reps"]) == ("psi", 9, 2)
         assert {name: stats["dim"] for name, stats in doc["results"].items()} == {
-            "dim=2": 2, "codim=4": 5}
+            "dim=2": 2, "codim=4": 5, "low": 2}
         for stats in doc["results"].values():
             assert stats["median_s"] > 0 and stats["p90_s"] >= stats["median_s"]
 
@@ -684,3 +686,32 @@ class TestExitCodes:
         assert (EXIT_OK, EXIT_LAW_FAILURE, EXIT_BAD_INPUT, EXIT_INCOMPLETE) == (
             0, 1, 2, 3,
         )
+
+
+def test_one_process_matches_separate_calls(tmp_path, capsys):
+    # main reuses one parser: subcommands alternating through one process,
+    # usage errors and input errors among them, print and exit as they do
+    # one process per call
+    src = str(tmp_path / "f.txt")
+    argvs = [
+        ["gen", "coset-ring", "--n", "6", "--seed", "3", "--out", src],
+        ["wht", "--input", src],
+        ["psi", "--input", src, "--subgroup", '["0x5", "0x2"]'],
+        ["anorm", "--input", str(tmp_path / "missing.txt")],
+        ["wht"],
+        ["verify", "pd", "--trials", "5"],
+        ["anorm", "--input", src],
+        ["psi", "--input", src, "--subgroup", '["0x3"]'],
+        ["wht", "--input", src],
+    ]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [os.path.dirname(os.path.dirname(specnorm.io.__file__)), os.environ.get("PYTHONPATH", "")])}
+    for argv in argvs:
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse's usage error
+            code = exc.code
+        out, err = capsys.readouterr()
+        sep = subprocess.run([sys.executable, "-m", "specnorm.cli", *argv], env=env,
+                             capture_output=True, text=True)
+        assert (code, out, err) == (sep.returncode, sep.stdout, sep.stderr), argv

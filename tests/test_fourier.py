@@ -49,6 +49,23 @@ def reference_butterfly(values):
     return a
 
 
+def reference_radix16(a):
+    """The radix-16 kernel on whole tables: every stage a fresh array of
+    the whole stack, the shape _wht takes up to n = BLOCK_BITS."""
+    n = a.shape[-1].bit_length() - 1
+    k = min(fourier.RADIX_BITS, n)
+    out = a.reshape(-1, 1 << k)
+    if a.ndim > 1 and out.shape[0] == 1:
+        return reference_radix16(np.concatenate((a, a)))[:1]
+    out = out @ fourier._SYLVESTER[k]
+    lo = k
+    while lo < n:
+        k = min(fourier.RADIX_BITS, n - lo)
+        out = fourier._SYLVESTER[k] @ out.reshape(-1, 1 << k, 1 << lo)
+        lo += k
+    return out.reshape(a.shape)
+
+
 THREE_CORNER = [1.0, 1.0, 1.0, 0.0]
 
 # n = 1..14 covers every n mod 4, so every length of the short last stage
@@ -73,6 +90,52 @@ class TestKernel:
         assert np.array_equal(fourier._wht(x), want)
         assert np.array_equal(iwht(Spectrum(a, x)).values, want)
         assert np.array_equal(wht(RealFn(a, x)).coeffs, want / a.size)
+
+    @pytest.mark.parametrize("n", range(1, 23))
+    def test_bit_equal_to_whole_table_kernel(self, n):
+        rng = np.random.default_rng(n)
+        reals = rng.uniform(-1, 1, 1 << n)
+        ints = rng.integers(-(2**20), 2**20, 1 << n, endpoint=True).astype(np.float64)
+        for x in (reals, ints):
+            assert fourier._wht(x).tobytes() == reference_radix16(x).tobytes()
+
+    @pytest.mark.parametrize("n", range(fourier.BLOCK_BITS + 1, 21))
+    @pytest.mark.parametrize("m", [2, 3])
+    def test_blocked_stacks_bit_equal_to_whole_table_kernel(self, n, m):
+        rows = np.random.default_rng(n * m).uniform(-1, 1, (m, 1 << n))
+        got = fourier._wht(rows)
+        assert got.tobytes() == reference_radix16(rows).tobytes()
+        assert got[1:2].tobytes() == fourier._wht(rows[1]).tobytes()
+
+    def test_n24_bit_equal_to_whole_table_kernel(self):
+        x = np.random.default_rng(24).uniform(-1, 1, 1 << 24)
+        assert fourier._wht(x).tobytes() == reference_radix16(x).tobytes()
+
+    def test_block_edge(self, monkeypatch):
+        # n = BLOCK_BITS is one piece on the whole-table path; n = BLOCK_BITS
+        # + 1 is the first blocked n, and its short stage comes last
+        assert fourier.BLOCK_BITS % (2 * fourier.RADIX_BITS) == 0
+        blocked = []
+        kernel = fourier._wht_blocked
+
+        def spy(a, n):
+            blocked.append(n)
+            return kernel(a, n)
+
+        monkeypatch.setattr(fourier, "_wht_blocked", spy)
+        rng = np.random.default_rng(16)
+        for n in (fourier.BLOCK_BITS, fourier.BLOCK_BITS + 1):
+            x = rng.uniform(-1, 1, 1 << n)
+            assert fourier._wht(x).tobytes() == reference_radix16(x).tobytes()
+        assert blocked == [fourier.BLOCK_BITS + 1]
+
+    @pytest.mark.parametrize("n", [0, 1, 2, 3, 4, fourier.BLOCK_BITS + 1])
+    def test_lone_row_is_its_padded_pair(self, n):
+        # a (1, 2^n) stack of size 2^k takes the matrix path, as in a pair
+        row = np.random.default_rng(n).uniform(-1, 1, (1, 1 << n))
+        got = fourier._wht(row)
+        assert got.shape == row.shape
+        assert got.tobytes() == fourier._wht(np.concatenate((row, row)))[:1].tobytes()
 
     @settings(max_examples=60, deadline=None)
     @given(st.integers(0, 12), st.integers(1, 40), SEEDS)

@@ -16,9 +16,9 @@ from specnorm.generate import (
 )
 from specnorm.gf2 import Ambient, full, rref_span, trivial
 from specnorm.spectral import (
-    FRAME_MIN_DIM,
     FRAME_MIN_N,
     MAX_PD_DEGREE,
+    TAKE_MIN_BIT,
     TIE_SLACK,
     NotAlmostInteger,
     SupportCertificate,
@@ -71,7 +71,9 @@ class TestANorm:
 class TestPsi:
     def test_trivial_subgroup_is_identity(self):
         f = THREE_CORNER
-        assert np.allclose(psi(f, trivial(f.ambient)).values, f.values, atol=1e-14)
+        g = psi(f, trivial(f.ambient))
+        assert np.allclose(g.values, f.values, atol=1e-14)
+        assert not np.shares_memory(g.values, f.values)
 
     def test_full_group_gives_mean(self):
         f = THREE_CORNER
@@ -223,16 +225,16 @@ def fold_descent(sums, H, eta):
     )
 
 
-# n and dim S on both sides of the frame path's thresholds, plus small n
+# n on both sides of the quotient path's threshold, plus small n
 EDGE_NS = (1, 2, 3, 5, 8, FRAME_MIN_N - 1, FRAME_MIN_N)
 
 
 @st.composite
 def edge_subgroups(draw):
-    """(S, rng): a subgroup of drawn dimension and a stream for its tables."""
+    """(S, rng): a subgroup of drawn dimension, the trivial and one-word
+    subgroups and the whole group among them, and a stream for its tables."""
     n = draw(st.sampled_from(EDGE_NS))
-    d = min(n, draw(st.sampled_from((FRAME_MIN_DIM - 1, FRAME_MIN_DIM, FRAME_MIN_DIM + 1))
-                    | st.integers(0, n)))
+    d = min(n, draw(st.sampled_from((0, 1, n)) | st.integers(0, n)))
     rng = rng_for(draw(st.integers(0, 2**32 - 1)))
     return subgroup_of_dim(Ambient(n), d, rng), rng
 
@@ -273,6 +275,54 @@ class TestQuotientPaths:
         for H in (S, S.annihilator(), full(a)):
             got = _descent(sums, H, eta)
             assert repr(got) == repr(fold_descent(sums, H, eta))
+
+
+# n on the quotient path, where psi divides the halved sums by |H| and
+# spreads them back
+QUOTIENT_NS = range(FRAME_MIN_N, FRAME_MIN_N + 5)
+
+
+def assert_quotient_is_fold(table, S):
+    got = _coset_sums(table, S)
+    want = fold_coset_sums(table, S)
+    assert got.shape == want.shape and got.tobytes() == want.tobytes()
+    if table.ndim == 1:
+        g = psi(RealFn(S.ambient, table), S).values
+        assert g.tobytes() == (want / S.size).tobytes()
+        assert not np.shares_memory(g, table)
+
+
+class TestQuotientLargeN:
+    @given(st.sampled_from(QUOTIENT_NS), st.integers(0, 2**32 - 1), st.booleans(),
+           st.data())
+    @settings(max_examples=12, deadline=None)
+    def test_drawn_dims_match_fold_bitwise(self, n, seed, stack, data):
+        a = Ambient(n)
+        rng = rng_for(seed)
+        S = subgroup_of_dim(a, data.draw(st.integers(0, n)), rng)
+        assert_quotient_is_fold(rng.uniform(-1, 1, (3, a.size) if stack else a.size), S)
+
+    @pytest.mark.parametrize("n", [QUOTIENT_NS[0], QUOTIENT_NS[-1]])
+    @pytest.mark.parametrize("bits", range(1, 16))
+    def test_unit_word_spans_match_fold_bitwise(self, n, bits):
+        # every subgroup spanned by unit words of bits 0..3: top bits on
+        # both sides of TAKE_MIN_BIT
+        a = Ambient(n)
+        S = rref_span(a, [1 << j for j in range(4) if (bits >> j) & 1])
+        assert_quotient_is_fold(rng_for(bits).uniform(-1, 1, a.size), S)
+
+    @pytest.mark.parametrize("n", QUOTIENT_NS)
+    @pytest.mark.parametrize("p", [TAKE_MIN_BIT - 1, TAKE_MIN_BIT])
+    def test_pivots_at_the_crossover_match_fold_bitwise(self, n, p):
+        # words with lower bits set, so that the partner index is not the
+        # identity, alone and under a high word
+        a = Ambient(n)
+        rng = rng_for(n + p)
+        for words in ([(2 << p) - 1], [(1 << p) | 1, (1 << (n - 1)) | 0b1011]):
+            S = rref_span(a, words)
+            assert S.basis[-1].bit_length() - 1 == p
+            assert_quotient_is_fold(rng.uniform(-1, 1, a.size), S)
+            assert_quotient_is_fold(rng.uniform(-1, 1, (2, a.size)), S)
 
 
 class TestSpectralSupport:
