@@ -84,7 +84,7 @@ def cmd_psi(args) -> int:
     if args.out:
         write_truth_table(args.out, g)
     else:
-        print(_format_reals(g.values))
+        print(b"".join(_format_reals(g.values)).decode())
     return EXIT_OK
 
 
@@ -143,17 +143,19 @@ def cmd_verify(args) -> int:
 def cmd_gen(args) -> int:
     ambient = Ambient(args.n)
     rng = rng_for(args.seed)
+    # every sidecar says which kind and seed made its table
+    record = {"n": args.n, "kind": args.kind, "seed": args.seed}
     if args.kind == "coset-ring":
         flats = 2 if args.flats is None else args.flats
         depth = 1 if args.depth is None else args.depth
-        f, record = gen_coset_ring(ambient, flats, depth, rng)
+        f, construction = gen_coset_ring(ambient, flats, depth, rng)
+        record.update(construction)
     elif args.kind == "random-boolean":
         f = gen_random_boolean(ambient, rng)
-        record = {"n": args.n, "kind": "random-boolean", "seed": args.seed}
     else:  # "subgroup"
         H = random_subgroup(ambient, rng)
         f = flat_indicator(H, 0)
-        record = {"n": args.n, "kind": "subgroup", "basis": H.to_json()}
+        record["basis"] = H.to_json()
     write_truth_table(args.out, f)
     with open(args.out + ".json", "w") as fh:
         json.dump(record, fh, indent=1)

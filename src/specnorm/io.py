@@ -36,13 +36,23 @@ longer than SHORT_TOKEN_BYTES sends it there before any array pass: dense
 reals written to 17 digits.  A chunk that takes the distinct tokens past
 MAX_DISTINCT_TOKENS sends it there after that chunk: dense short tokens.
 
-Writing.  A real= body formats each distinct float64 bit pattern once.
+Writing.  A file is written as bytes.  A table whose every entry is 0 or
+1 (-0.0 included) is written as bits=, its digits one uint8 pass over
+the table.  Any other table is written as real=, one repr per entry.
+Each distinct float64 bit pattern is formatted once, as its repr, NUL
+padding to the longest repr and a space, into a fixed-width token table.
+The body is then made CHUNK_BYTES // 8 entries at a time: the piece's
+tokens are gathered by a binary search over the distinct bit patterns,
+one bytes.translate drops the padding, and the piece is written before
+the next is made.  Beyond the sort that finds the distinct patterns,
+the temporaries are a piece's.
 """
 
 from __future__ import annotations
 
 import math
 import re
+from collections.abc import Iterator
 
 import numpy as np
 
@@ -63,7 +73,8 @@ SHORT_TOKEN_BYTES = 8
 # them distinct: 159 ms keyed against 181 ms).
 MAX_DISTINCT_TOKENS = 1024
 # Body bytes tokenised in one pass, and bytes of lookup index built in
-# one: this bounds the keyed reader's temporaries.
+# one; the writer makes a real= body CHUNK_BYTES // 8 entries at a time.
+# This bounds the temporaries of both the reader and the writer.
 CHUNK_BYTES = 1 << 18
 
 _BLANK = re.compile(r"\s*")
@@ -214,22 +225,42 @@ def read_truth_table(path: str) -> RealFn:
     raise MalformedInput("second line must start with bits= or real=")
 
 
-def _format_reals(vals: np.ndarray) -> str:
-    """The string " ".join(repr(float(v)) for v in vals), formatting each
-    distinct float64 bit pattern once: a projection or a step function has
-    few distinct values among its 2^n entries.  Keyed on the bits, so -0.0
-    keeps its own repr apart from 0.0."""
+def _format_reals(vals: np.ndarray) -> Iterator[bytes]:
+    """The bytes of " ".join(repr(float(v)) for v in vals), yielded in
+    pieces of CHUNK_BYTES // 8 entries.  Each distinct float64 bit pattern
+    is formatted once, as its repr, NUL padding and a space, into a
+    fixed-width token table: a projection or a step function has few
+    distinct values among its 2^n entries.  A piece gathers its tokens,
+    and one bytes pass drops the padding; the last piece drops its
+    trailing space too.  Keyed on the bits, so -0.0 keeps its own repr
+    apart from 0.0."""
     bits = np.ascontiguousarray(vals, dtype=np.float64).view(np.uint64)
     distinct = _distinct(bits)
-    words = np.array(list(map(repr, distinct.view(np.float64).tolist())), dtype=object)
-    return " ".join(words[np.searchsorted(distinct, bits)].tolist())
+    words = list(map(repr, distinct.view(np.float64).tolist()))
+    w = max(map(len, words), default=1)
+    # a token is its repr, NUL padding to the longest repr, and a space
+    cells = np.empty((distinct.size, w + 1), dtype=np.uint8)
+    cells[:, :w] = np.array(words, dtype=f"S{w}").view(np.uint8).reshape(-1, w)
+    cells[:, w] = _SPACE
+    tokens = cells.view(f"S{w + 1}").ravel()
+    step = CHUNK_BYTES // 8
+    for lo in range(0, bits.size, step):
+        # np.take gathers fixed-width bytes faster than indexing does
+        piece = np.take(tokens, np.searchsorted(distinct, bits[lo:lo + step])).tobytes()
+        piece = piece.translate(None, b"\0")
+        yield piece if lo + step < bits.size else piece[:-1]
 
 
 def write_truth_table(path: str, f: RealFn) -> None:
     vals = f.values
-    with open(path, "w") as fh:
-        fh.write(f"n={f.ambient.n}\n")
-        if np.array_equal(vals, vals.astype(bool).astype(float)):
-            fh.write("bits=" + (vals.astype(np.uint8) + ord("0")).tobytes().decode() + "\n")
+    with open(path, "wb") as fh:
+        fh.write(b"n=%d\n" % f.ambient.n)
+        if ((vals == 0) | (vals == 1)).all():
+            digits = vals.astype(np.uint8)
+            digits += ord("0")
+            fh.write(b"bits=")
+            fh.write(digits)
         else:
-            fh.write("real=" + _format_reals(vals) + "\n")
+            fh.write(b"real=")
+            fh.writelines(_format_reals(vals))
+        fh.write(b"\n")

@@ -17,12 +17,15 @@ pairs of entries that differ by one word, keeps each sum at the member
 with the word's top bit clear and drops that index bit, so one _halve
 per basis word of S, in RREF order, leaves one sum per coset in
 coset_minima order; _spread copies each sum back to both members.
-From n = FRAME_MIN_N, _coset_sums halves, divides (psi divides by |H|)
-and spreads, so the division runs on the quotient, and each gather reads
-pieces of 2^fourier.BLOCK_BITS entries; below it _coset_sums folds the
-whole table once per basis word.  The descent halves |fhat| onto the cosets
-of H^perp once, and each step halves along the adjoined word.  Every
-path adds the same pairs in the same tree, so they agree bit for bit.
+From n = FRAME_MIN_N (15), _coset_sums halves, divides (psi divides by
+|H|) and spreads, so the division runs on the quotient, and each gather
+reads pieces of 2^fourier.BLOCK_BITS entries; below it _coset_sums folds
+the whole table once per basis word.  At n = 15 the quotient took 0.2-0.6
+of the fold's time over dims 1, 2, n/2, n - 4 and n - 2; at n = 14 it
+took 1.2 and 1.04 of it at dims 1 and 2, so n = 14 folds.  The descent
+halves |fhat| onto the cosets of H^perp once, and each step halves along
+the adjoined word.  Every path adds the same pairs in the same tree, so
+they agree bit for bit.
 """
 
 from __future__ import annotations
@@ -81,8 +84,10 @@ def psi(f: RealFn, H: Subgroup) -> RealFn:
 
 # _coset_sums runs on the quotient from n = FRAME_MIN_N and folds below it.
 # Quotient/fold time ratios over dims 1, 2, n/2 and n - 2: 3.8-6.1 at n = 8,
-# 1.3-1.7 at n = 12, 0.6-1.1 at n = 14, 0.5-0.9 at n = 15, 0.4-0.9 at n = 16.
-FRAME_MIN_N = 16
+# 1.3-1.7 at n = 12, 0.4-0.9 at n = 16.  Over dims 1, 2, n/2, n - 4 and
+# n - 2: 0.41, 0.29, 0.20, 0.64, 0.29 at n = 15, and 1.20, 1.04, 0.75,
+# 0.67, 0.63 at n = 14, which loses at dims 1 and 2 and so stays on the fold.
+FRAME_MIN_N = 15
 # _halve and _spread gather the partner half with takes when w's top bit
 # p is at least TAKE_MIN_BIT, and one column of the 2^p-wide view at a
 # time below it.  Over 2^20 entries, at p = 1..2 a halving took 4.5-7.5 ms

@@ -41,6 +41,11 @@ def reference_real_line(vals):
     return " ".join(repr(float(v)) for v in vals)
 
 
+def formatted(vals):
+    """_format_reals's pieces joined and decoded."""
+    return b"".join(_format_reals(vals)).decode()
+
+
 def _format_cases():
     rng = np.random.default_rng(7)
     a = Ambient(10)
@@ -57,17 +62,54 @@ def _format_cases():
     }
 
 
+FINITE_FLOATS = st.floats(allow_nan=False, allow_infinity=False)
+
+
 class TestFormatReals:
     @pytest.mark.parametrize("case", sorted(_format_cases()))
     def test_matches_reference(self, case):
         vals = _format_cases()[case]
-        assert _format_reals(vals) == reference_real_line(vals)
+        assert formatted(vals) == reference_real_line(vals)
 
-    @given(st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=1, max_size=64))
+    @given(st.lists(FINITE_FLOATS, min_size=1, max_size=64))
     @settings(max_examples=200, deadline=None)
     def test_drawn_floats(self, xs):
         vals = np.array(xs, dtype=np.float64)
-        assert _format_reals(vals) == reference_real_line(vals)
+        assert formatted(vals) == reference_real_line(vals)
+
+    def test_one_distinct_value(self):
+        vals = np.full(1000, 0.375)
+        assert formatted(vals) == reference_real_line(vals)
+
+    def test_long_and_short_tokens(self):
+        # tokens of up to 19 bytes padded in the same table as 3-byte ones
+        rng = np.random.default_rng(3)
+        words = np.array([1.0, -2.0, 0.1, 0.1 + 0.2, -1e-310, 2.0 / 3, -123456.789e200])
+        vals = words[rng.integers(0, words.size, 5000)]
+        assert formatted(vals) == reference_real_line(vals)
+        lengths = [len(repr(w)) for w in words.tolist()]
+        assert min(lengths) == 3 and max(lengths) == 19
+
+    @pytest.mark.parametrize("size", [48, 52])
+    def test_token_change_at_piece_boundary(self, size):
+        # pieces of 8 entries, and the value changes on each piece's first
+        # entry; the last piece is full or a stub
+        vals = np.repeat([0.5, -0.0, 1e-7, 0.25, 3.0, 0.5, 7.0], 8)[:size]
+        with mock.patch.object(specnorm.io, "CHUNK_BYTES", 64):
+            pieces = list(_format_reals(vals))
+        want = [repr(float(v)) for v in vals]
+        assert len(pieces) == -(-size // 8)
+        for k, piece in enumerate(pieces):
+            body = " ".join(want[8 * k:8 * k + 8])
+            assert piece.decode() == (body if k == len(pieces) - 1 else body + " ")
+
+    @given(st.lists(FINITE_FLOATS, min_size=1, max_size=4), st.data(), st.integers(1, 6))
+    @settings(max_examples=200, deadline=None)
+    def test_few_values_across_pieces(self, words, data, step):
+        idx = data.draw(st.lists(st.integers(0, len(words) - 1), min_size=1, max_size=40))
+        vals = np.array(words)[idx]
+        with mock.patch.object(specnorm.io, "CHUNK_BYTES", 8 * step):
+            assert formatted(vals) == reference_real_line(vals)
 
     def test_psi_stdout(self, coset_table, capsys):
         path, f = coset_table
@@ -290,6 +332,33 @@ class TestTruthTableIO:
             read_truth_table(str(p))
 
 
+class TestWriteTruthTable:
+    @pytest.mark.parametrize("n", [16, 17, 20])
+    def test_real_file_bytes(self, tmp_path, n):
+        # a projection (few distinct values) and dense 17-digit reals mixed
+        a = Ambient(n)
+        rng = rng_for(n)
+        ring, _ = gen_coset_ring(a, 3, 2, rng)
+        vals = psi(ring, rref_span(a, [0b11, 1 << (n - 1)])).values.copy()
+        vals[rng.integers(0, a.size, 1000)] = rng.uniform(-1, 1, 1000)
+        p = tmp_path / "f.txt"
+        write_truth_table(str(p), RealFn(a, vals))
+        want = f"n={n}\nreal=".encode() + reference_real_line(vals).encode() + b"\n"
+        assert p.read_bytes() == want
+
+    def test_bits_with_negative_zero(self, tmp_path):
+        vals = np.array([0.0, -0.0, 1.0, -0.0, 1.0, 1.0, 0.0, 0.0])
+        p = tmp_path / "f.txt"
+        write_truth_table(str(p), RealFn(Ambient(3), vals))
+        assert p.read_bytes() == b"n=3\nbits=00101100\n"
+
+    def test_real_when_one_entry_is_not_a_bit(self, tmp_path):
+        vals = np.array([0.0, 1.0, 1.0, 2.0])
+        p = tmp_path / "f.txt"
+        write_truth_table(str(p), RealFn(Ambient(2), vals))
+        assert p.read_bytes() == b"n=2\nreal=0.0 1.0 1.0 2.0\n"
+
+
 class TestWhtAnorm:
     def test_wht(self, coset_table, tmp_path, capsys):
         path, f = coset_table
@@ -493,6 +562,18 @@ class TestGenCmd:
         for suffix in ("", ".json"):
             want = (tmp_path / ("given.txt" + suffix)).read_bytes()
             assert (tmp_path / ("default.txt" + suffix)).read_bytes() == want
+
+    @pytest.mark.parametrize("kind, keys", [
+        ("coset-ring", ["n", "kind", "seed", "flats", "ops"]),
+        ("random-boolean", ["n", "kind", "seed"]),
+        ("subgroup", ["n", "kind", "seed", "basis"]),
+    ])
+    def test_sidecar_records_kind_and_seed(self, tmp_path, kind, keys):
+        out = tmp_path / "g.txt"
+        assert main(["gen", kind, "--n", "5", "--seed", "6", "--out", str(out)]) == EXIT_OK
+        record = json.loads((tmp_path / "g.txt.json").read_text())
+        assert list(record) == keys
+        assert (record["n"], record["kind"], record["seed"]) == (5, kind, 6)
 
     def test_deterministic(self, tmp_path):
         a_out = tmp_path / "a.txt"

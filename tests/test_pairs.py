@@ -1,0 +1,80 @@
+import importlib.util
+import json
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+_spec = importlib.util.spec_from_file_location("pairs", ROOT / "tools" / "pairs.py")
+pairs = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(pairs)
+
+
+class TestSummarize:
+    def test_lower_is_better_with_a_tie(self):
+        # pairs: 9 < 10 win, 12 = 12 tie, 8 < 11 win, 14 > 13 loss, 7 < 10 win
+        s = pairs.summarize([10, 12, 11, 13, 10], [9, 12, 8, 14, 7], "lower", 0.25)
+        assert s["parent"] == {"median": 11, "q1": 10, "q3": 12}
+        assert s["change"] == {"median": 9, "q1": 8, "q3": 12}
+        assert s["change_better_pairs"] == "3/5"
+        # the gap (2) equals the parent's spread (2): it does not exceed it
+        assert s["median_gap_exceeds_parent_quartile_spread"] is False
+        assert s["relative_quartile_spread"] == pytest.approx(4 / 9)
+        assert s["unresolved"] is True
+        assert s["runs"] == {"parent": [10, 12, 11, 13, 10], "change": [9, 12, 8, 14, 7]}
+
+    def test_higher_is_better(self):
+        s = pairs.summarize([40, 41, 42, 43], [45, 47, 46, 41], "higher", 0.25)
+        assert s["parent"] == {"median": 41.5, "q1": 40.75, "q3": 42.25}
+        assert s["change"]["median"] == 45.5
+        assert s["change_better_pairs"] == "3/4"
+        assert s["median_gap_exceeds_parent_quartile_spread"] is True
+        assert s["unresolved"] is False
+
+    def test_all_ties(self):
+        s = pairs.summarize([1.0, 2.0, 3.0], [1.0, 2.0, 3.0], "higher", 0.25)
+        assert s["change_better_pairs"] == "0/3"
+        assert s["median_gap_exceeds_parent_quartile_spread"] is False
+
+    def test_one_pair(self):
+        s = pairs.summarize([5.0], [4.0], "lower", 0.05)
+        assert s["parent"] == {"median": 5.0, "q1": 5.0, "q3": 5.0}
+        assert s["change_better_pairs"] == "1/1"
+        assert s["median_gap_exceeds_parent_quartile_spread"] is True
+
+    def test_unpaired_runs(self):
+        with pytest.raises(ValueError):
+            pairs.summarize([1.0, 2.0], [1.0], "lower", 0.25)
+
+
+def test_parse_seeds():
+    assert pairs.parse_seeds("501-504") == [501, 502, 503, 504]
+    assert pairs.parse_seeds("7") == [7]
+
+
+def test_order_and_document(tmp_path, monkeypatch, capsys):
+    spec = {"end_to_end": [{"name": "ops_per_s", "better": "higher", "bound": 0.25}]}
+    (tmp_path / "new").mkdir()
+    (tmp_path / "new" / "BENCHMARK.json").write_text(json.dumps(spec))
+    calls = []
+
+    def fake_run(checkout, workload, seed, seconds):
+        calls.append((checkout.name, seed))
+        value = seed + (0.5 if checkout.name == "new" else 0.0)
+        return {"attempted": 10, "failed": 0, "metrics": {"ops_per_s": {"value": value}}}
+
+    monkeypatch.setattr(pairs, "run_once", fake_run)
+    out = tmp_path / "pairs.json"
+    argv = [str(tmp_path / "old"), str(tmp_path / "new"), "--workload", "w",
+            "--seeds", "3-4", "--seconds", "1", "--out", str(out)]
+    assert pairs.main(argv) == 0
+    # the parent first on odd seeds, the change first on even ones
+    assert calls == [("old", 3), ("new", 3), ("new", 4), ("old", 4)]
+    doc = json.loads(out.read_text())
+    assert doc == json.loads(capsys.readouterr().out)
+    w = doc["w"]
+    assert w["seeds"] == [3, 4]
+    assert w["attempted_ops"] == {"parent": 20, "change": 20}
+    assert w["failed_ops"] == {"parent": 0, "change": 0}
+    assert w["metrics"]["ops_per_s"]["runs"] == {"parent": [3, 4], "change": [3.5, 4.5]}
+    assert w["metrics"]["ops_per_s"]["change_better_pairs"] == "2/2"

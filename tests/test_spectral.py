@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from specnorm.decompose import exact_support_eta
-from specnorm.fourier import RealFn, Spectrum, constant, iwht, wht
+from specnorm.fourier import BLOCK_BITS, RealFn, Spectrum, constant, iwht, wht
 from specnorm.generate import (
     flat_indicator,
     gen_coset_ring,
@@ -279,7 +279,7 @@ class TestQuotientPaths:
 
 # n on the quotient path, where psi divides the halved sums by |H| and
 # spreads them back
-QUOTIENT_NS = range(FRAME_MIN_N, FRAME_MIN_N + 5)
+QUOTIENT_NS = range(FRAME_MIN_N, 21)
 
 
 def assert_quotient_is_fold(table, S):
@@ -302,7 +302,8 @@ class TestQuotientLargeN:
         S = subgroup_of_dim(a, data.draw(st.integers(0, n)), rng)
         assert_quotient_is_fold(rng.uniform(-1, 1, (3, a.size) if stack else a.size), S)
 
-    @pytest.mark.parametrize("n", [QUOTIENT_NS[0], QUOTIENT_NS[-1]])
+    # the threshold, one gather piece of 2^BLOCK_BITS entries, many pieces
+    @pytest.mark.parametrize("n", [FRAME_MIN_N, BLOCK_BITS, QUOTIENT_NS[-1]])
     @pytest.mark.parametrize("bits", range(1, 16))
     def test_unit_word_spans_match_fold_bitwise(self, n, bits):
         # every subgroup spanned by unit words of bits 0..3: top bits on
