@@ -173,11 +173,9 @@ _TINY_NORM_CHUNK = 2048
 TRIAL_BLOCK_ENTRIES = 2**15
 
 
-@functools.cache
 def _sweep_index(N: int) -> tuple:
-    """(tests, pairs, triples, rows, starts, weights) for the tiny-norm
-    sweep on N points: its closure tests and how to read off a test's
-    position.
+    """(tests, pairs, triples) for the tiny-norm sweep on N points: its
+    closure tests.
 
     tests: index rows (a, b, c, d) into the 2N rows [translated tables;
     tables], one column per test "a, b and c in, d out".  The first
@@ -185,28 +183,18 @@ def _sweep_index(N: int) -> tuple:
     (in every translate) and d = a^b.  The rest test the table, one per
     triple p < q < r, with d = p^q^r.  Pairs and triples are each in
     lexicographic order; triples holds them as rows (p, q, r, p^q^r).
-    rows, starts, weights: for each bit b of the triple indices t, the t
-    with bit b set (concatenated, b's run starting at starts[b]) and 2^b.
-
-    Read-only, since every call shares them.
     """
     x = np.arange(N)
     lt = x[:, None] < x
     pa, pb = lt.nonzero()
     tp, tq, tr = (lt[:, :, None] & lt).nonzero()
-    P, T = pa.size, tp.size
-    tests = np.empty((4, P + T), dtype=np.intp)
+    P = pa.size
+    tests = np.empty((4, P + tp.size), dtype=np.intp)
     tests[0, :P], tests[1, :P], tests[2, :P], tests[3, :P] = pa, pb, 0, pa ^ pb
     tests[:, P:] = tp, tq, tr, tp ^ tq ^ tr
     triples = tests[:, P:].copy()
     tests[:, P:] += N
-    bits = np.arange(max(T - 1, 0).bit_length())
-    which, rows = ((np.arange(T) >> bits[:, None]) & 1).nonzero()
-    out = (tests, P, triples, rows, np.searchsorted(which, bits), 1 << bits)
-    for a in out:
-        if isinstance(a, np.ndarray):
-            a.flags.writeable = False
-    return out
+    return tests, P, triples
 
 
 def _bit_planes(f: np.ndarray) -> np.ndarray:
@@ -229,13 +217,14 @@ def _tiny_norm_verdicts(masks: np.ndarray, had: np.ndarray) -> tuple[np.ndarray,
     (ok per mask, smallest non-coset anorm)."""
     N = had.shape[0]
     xs = np.arange(N)[:, None]
-    (a, b, c, d), pairs, triples, rows, starts, weights = _sweep_index(N)
+    (a, b, c, d), pairs, (tp, tq, tr, ts) = _sweep_index(N)
     ok = np.empty(masks.size, dtype=bool)
     min_noncoset = math.inf
     # sup |phi-hat| of each triple's certificate phi = N (1_p + 1_q + 1_r -
-    # 1_(p^q^r)): it depends on the triple alone (none at n = 1)
-    tp, tq, tr, ts = triples
+    # 1_(p^q^r)) depends on the triple alone (none at n = 1): mark the
+    # triples whose certificate is off, a NaN sup included
     sup = np.abs(had[tp] + had[tq] + had[tr] - had[ts]).max(axis=1)
+    off = ~(np.abs(sup - 2.0) <= TINY_NORM_TOL)
     # tables are stored transposed, one row per point x and one column per
     # mask; the rows pack into words of 64 masks, so every test below
     # handles 64 masks per word operation
@@ -266,13 +255,13 @@ def _tiny_norm_verdicts(masks: np.ndarray, had: np.ndarray) -> tuple[np.ndarray,
         nc = noncoset.nonzero()[0]
         if nc.size:
             min_noncoset = min(min_noncoset, float(an[nc].min()))
-            # the certificate from each mask's first violating triple, the
-            # row t where its bit of the running OR turns on (0 if none):
-            # bit b of t is the OR of the turn-on bits over the rows with bit b
+            # the certificate sits on each mask's first violating triple, the
+            # row where its bit of the running OR turns on; a mask's bit is
+            # set in exactly one such row, or in none if no triple violates
             first = np.bitwise_or.accumulate(bad)
             first[1:] &= ~first[:-1]
-            w = (weights @ _unpack(np.bitwise_or.reduceat(first[rows], starts), m))[nc]
-            good[nc] &= (an[nc] >= 1.5 - TINY_NORM_TOL) & (np.abs(sup[w] - 2.0) <= TINY_NORM_TOL)
+            wrong = _unpack(np.bitwise_or.reduce(first[off]), m)
+            good[nc] &= (an[nc] >= 1.5 - TINY_NORM_TOL) & ~wrong[nc]
         ok[lo:lo + m] = good
     return ok, min_noncoset
 
@@ -284,7 +273,10 @@ def check_tiny_norm(n: int) -> LawReport:
     four-point certificate giving <f, phi> = 3 and ||phi-hat||_inf = 2.
     The certificate sits on the mask's first violating triple p < q < r,
     so f is 1, 1, 1, 0 at p, q, r, p^q^r and <f, phi> = 3 holds for every
-    mask by construction; the sweep tests ||phi-hat||_inf alone.
+    mask by construction; the sweep tests ||phi-hat||_inf alone.  That
+    depends on the triple alone, so the sweep marks the triples whose
+    certificate is off once, and a mask fails when its first violating
+    triple is one of them.
 
     The 2^(2^n) - 1 tables are tested in chunks of _TINY_NORM_CHUNK = 2048
     masks, stored as bit planes: the table's value at each point x packs
@@ -292,12 +284,13 @@ def check_tiny_norm(n: int) -> LawReport:
     per word operation.  The largest temporaries at n = 4 are the
     C(16, 2) + C(16, 3) = 680 closure tests (174 KB) and the float tables
     behind the anorms (256 KB), both formed in place.  Run alone, the
-    n = 4 sweep takes 36-38 ms at a peak RSS of 34.2 MB (the boolean pass
-    over 512-mask blocks it replaced: 0.15-0.17 s at 33.5 MB), against
-    42-45 ms at 33.9 MB with 1024-mask chunks and 32-36 ms at 35.0 MB with
-    4096.  On the perfbench decompose-laws workload 2048-mask chunks ran
-    more ops per second than 1024 and as many as 3072 or 4096, which
-    raised its peak RSS further (BENCH_12.json).
+    n = 4 sweep takes 22-27 ms at a peak RSS of 33.8 MB (medians of 30
+    calls a process, BENCH_28.json).  When the chunk size was chosen,
+    2048-mask chunks took 36-38 ms at 34.2 MB, against 42-45 ms at
+    33.9 MB with 1024 and 32-36 ms at 35.0 MB with 4096.  On the perfbench
+    decompose-laws workload 2048-mask chunks ran more ops per second than
+    1024 and as many as 3072 or 4096, which raised its peak RSS further
+    (BENCH_12.json).
     """
     Ambient(n)
     if n > 4:

@@ -22,7 +22,7 @@ from specnorm.cli import (
 )
 from specnorm.fourier import RealFn, wht
 from specnorm.decompose import decompose
-from specnorm.generate import flat_indicator, gen_coset_ring, rng_for
+from specnorm.generate import flat_indicator, gen_coset_ring, gen_random_boolean, rng_for
 from specnorm.gf2 import Ambient, rref_span
 from specnorm.io import (
     MAX_DISTINCT_TOKENS,
@@ -604,22 +604,29 @@ class TestBenchCmd:
         for stats in doc["results"].values():
             assert stats["median_s"] > 0
 
+    DECOMPOSE_ROWS = ["decompose", "expand", "evaluate", "random-boolean decompose",
+                      "random-boolean expand", "random-boolean evaluate"]
+
     def test_decompose_text(self, capsys):
         code = main(["bench", "decompose", "--n", "8", "--reps", "2"])
         assert code == EXIT_OK
         lines = capsys.readouterr().out.splitlines()
-        assert [line.split()[2] for line in lines] == ["[decompose]", "[expand]", "[evaluate]"]
+        assert [line.split("[")[1].split("]")[0] for line in lines] == self.DECOMPOSE_ROWS
         assert all("median=" in line and " L=" in line for line in lines)
 
     def test_decompose_json(self, capsys):
-        assert main(["bench", "decompose", "--n", "8", "--reps", "2", "--json"]) == EXIT_OK
+        # n = 13: above the old cap of 12
+        assert main(["bench", "decompose", "--n", "13", "--reps", "1", "--json"]) == EXIT_OK
         results = json.loads(capsys.readouterr().out)["results"]
-        assert list(results) == ["decompose", "expand", "evaluate"]
-        f, _ = gen_coset_ring(Ambient(8), 3, 2, rng_for(0))
-        L = decompose(f)[0].L
-        for stats in results.values():
+        assert list(results) == self.DECOMPOSE_ROWS
+        # the coset ring, then a random boolean table from the same stream
+        rng = rng_for(0)
+        f, _ = gen_coset_ring(Ambient(13), 3, 2, rng)
+        g = gen_random_boolean(Ambient(13), rng)
+        for name, stats in results.items():
             assert stats["median_s"] > 0 and stats["p90_s"] >= stats["median_s"]
-            assert stats["L"] == L
+            table = g if name.startswith("random-boolean") else f
+            assert stats["L"] == decompose(table)[0].L
 
     def test_psi_json(self, capsys):
         code = main(["bench", "psi", "--n", "9", "--reps", "2", "--json"])
@@ -675,10 +682,11 @@ class TestBenchCmd:
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "Traceback" not in err
 
-    @pytest.mark.parametrize(
-        "what, n", [("psi", "3"), ("psi", "25"), ("support", "25"), ("io", "1")])
+    @pytest.mark.parametrize("what, n", [
+        ("psi", "3"), ("psi", "25"), ("support", "25"), ("io", "1"), ("decompose", "21")])
     def test_bad_n(self, what, n, capsys):
-        # psi needs subgroups of dimension 2 and n - 4; n = 25 exceeds gf2.MAX_N
+        # psi needs subgroups of dimension 2 and n - 4; n = 25 exceeds
+        # gf2.MAX_N; decompose is capped at 20
         assert main(["bench", what, "--n", n]) == EXIT_BAD_INPUT
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1

@@ -351,6 +351,32 @@ class TestTinyNormArrayPass:
         assert rep.failures == failures == (~ref_ok).sum() + (ref_min != 1.5)
         assert rep.counterexample == {"mask": first_mask, "n": 4}
 
+    @settings(max_examples=60, deadline=None)
+    @given(
+        n=st.sampled_from([2, 3]),
+        where=st.sampled_from(["row", "column", "entry"]),
+        i=st.integers(0, 7),
+        j=st.integers(0, 7),
+        factor=st.floats(0.5, 2.0).filter(lambda x: x != 1.0),
+    )
+    def test_scaled_transform_matches_block_reference(self, n, where, i, j, factor):
+        # a scaled row, column or entry moves some certificates' sup off 2,
+        # and each mask fails only through its own first violating triple
+        N = 1 << n
+        had = laws._hadamard(N)
+        i, j = i % N, j % N
+        if where == "row":
+            had[i] *= factor
+        elif where == "column":
+            had[:, j] *= factor
+        else:
+            had[i, j] *= factor
+        masks = np.arange(1, 1 << N, dtype=np.int64)
+        ok, min_noncoset = laws._tiny_norm_verdicts(masks, had)
+        ref_ok, ref_min = _reference_block_verdicts(masks, had)
+        assert np.array_equal(ok, ref_ok)
+        assert min_noncoset == ref_min
+
     def test_n4_sweep_peak_memory(self):
         # tracemalloc peak of the whole n = 4 check: 2.16 MB with 2048-mask
         # chunks (numpy 2.4, Python 3.11), set by record_many's arrays over

@@ -61,7 +61,13 @@ def test_order_and_document(tmp_path, monkeypatch, capsys):
     def fake_run(checkout, workload, seed, seconds):
         calls.append((checkout.name, seed))
         value = seed + (0.5 if checkout.name == "new" else 0.0)
-        return {"attempted": 10, "failed": 0, "metrics": {"ops_per_s": {"value": value}}}
+        # the change is faster on tiny-norm and slower on decompose
+        tiny = 2.0 if checkout.name == "new" else 3.0
+        latencies = {"tiny-norm n=1": [0.5], "tiny-norm n=4": [tiny, tiny],
+                     "decompose n=5 t=0": [value], "decompose n=9 t=1": [1.0],
+                     "bogolyubov 0.5/0.25": [seed]}
+        return {"attempted": 10, "failed": 0, "metrics": {"ops_per_s": {"value": value}},
+                "report": {"op_latencies_ms": latencies}}
 
     monkeypatch.setattr(pairs, "run_once", fake_run)
     out = tmp_path / "pairs.json"
@@ -78,3 +84,17 @@ def test_order_and_document(tmp_path, monkeypatch, capsys):
     assert w["failed_ops"] == {"parent": 0, "change": 0}
     assert w["metrics"]["ops_per_s"]["runs"] == {"parent": [3, 4], "change": [3.5, 4.5]}
     assert w["metrics"]["ops_per_s"]["change_better_pairs"] == "2/2"
+    assert w["family_latency_sums"] == {
+        "bogolyubov 0.5/0.25": {"parent_median_ms": 3.5, "change_median_ms": 3.5,
+                                "change_better_pairs": "0/2"},
+        "decompose": {"parent_median_ms": 4.5, "change_median_ms": 5.0,
+                      "change_better_pairs": "0/2"},
+        "tiny-norm": {"parent_median_ms": 6.5, "change_median_ms": 4.5,
+                      "change_better_pairs": "2/2"},
+    }
+
+
+def test_family_sums_drop_n_and_t():
+    report = {"op_latencies_ms": {"anorm projection n=20": [1.0, 2.0], "anorm n=16": [4.0],
+                                  "anorm projection n=16": [0.5], "pd": [0.25, 0.25]}}
+    assert pairs.family_sums(report) == {"anorm projection": 3.5, "anorm": 4.0, "pd": 0.5}

@@ -20,6 +20,10 @@ each metric
 - relative_quartile_spread, the larger side's (q3 - q1) / median, and
   unresolved, whether that spread exceeds the metric's bound;
 - every run, in seed order.
+
+It also gives, for each op family (the op label without its ``n=`` and
+``t=`` parts), each side's median over its runs of the family's latency
+sum in one run, and the pairs where the change's sum was lower.
 """
 
 from __future__ import annotations
@@ -62,12 +66,38 @@ def summarize(parent: list[float], change: list[float], better: str, bound: floa
     }
 
 
+def family_sums(report: dict) -> dict:
+    """Each op family's latency sum in ms over one run's report line."""
+    sums: dict = {}
+    for label, latencies in report["op_latencies_ms"].items():
+        family = " ".join(w for w in label.split() if not w.startswith(("n=", "t=")))
+        sums[family] = sums.get(family, 0.0) + sum(latencies)
+    return sums
+
+
+def summarize_families(parent: list[dict], change: list[dict]) -> dict:
+    """Per op family: each side's median latency sum and the pairs the change won."""
+    families = sorted(set().union(*parent, *change))
+    doc = {}
+    for family in families:
+        p = [s.get(family, 0.0) for s in parent]
+        c = [s.get(family, 0.0) for s in change]
+        doc[family] = {
+            "parent_median_ms": statistics.median(p),
+            "change_median_ms": statistics.median(c),
+            "change_better_pairs": f"{sum(b < a for a, b in zip(p, c))}/{len(p)}",
+        }
+    return doc
+
+
 def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
-    """The result line of one perfbench run in checkout."""
+    """The result line of one perfbench run in checkout, with its report
+    line under "report"."""
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
            "--seconds", str(seconds), "--trace", "0"]
     done = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True, check=True)
-    return json.loads(done.stdout.strip().splitlines()[-1])
+    report, result = done.stdout.strip().splitlines()[-2:]
+    return {**json.loads(result), **json.loads(report)}
 
 
 def parse_seeds(text: str) -> list[int]:
@@ -106,6 +136,9 @@ def main(argv=None) -> int:
                     m["better"], m["bound"])
                 for m in spec["end_to_end"]
             },
+            "family_latency_sums": summarize_families(
+                [family_sums(r["report"]) for r in results["parent"]],
+                [family_sums(r["report"]) for r in results["change"]]),
         }
     text = json.dumps(doc, indent=1)
     if args.out:
