@@ -5,10 +5,7 @@ from .fourier import (
     RealFn,
     Spectrum,
     convolve,
-    indicator,
     iwht,
-    lp_norm,
-    spec_lp_norm,
     wht,
 )
 from .gf2 import Ambient, AmbientMismatch, Subgroup, full, rref_span, trivial
@@ -29,7 +26,6 @@ from .additive import (
     SetStats,
     ZeroInSet,
     bogolyubov_subgroup,
-    find_concentration_subgroup,
     is_arithmetically_connected,
     nu4,
     s_eta,
@@ -44,8 +40,6 @@ from .decompose import (
     SubgroupTerm,
     decompose,
     evaluate,
-    inductive_step,
-    trivial_expr,
 )
 
 __version__ = "0.1.0"

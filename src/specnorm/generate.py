@@ -103,7 +103,7 @@ def gen_coset_ring(
         a = parts.pop()
         parts.append(a + b - a * b)
         ops.append({"op": "or", "args": "final-fold"})
-    f = RealFn(ambient, np.rint(parts[0]))
+    f = RealFn(ambient, parts[0])
     record = {"n": ambient.n, "flats": record_flats, "ops": ops}
     return f, record
 

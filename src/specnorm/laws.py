@@ -58,7 +58,7 @@ from .additive import (
     set_stats,
     spec_set,
 )
-from .decompose import decompose, trivial_expr
+from .decompose import decompose
 # a module name of its own, so that tests can swap in a faulty matrix
 from .fourier import sylvester as _hadamard
 from .generate import (
@@ -68,7 +68,7 @@ from .generate import (
     rng_for,
 )
 from .gf2 import Ambient, rref_span
-from .spectral import MAX_PD_DEGREE, pd_eval, round_to_int
+from .spectral import MAX_PD_DEGREE, pd_eval
 
 
 @dataclass
@@ -601,7 +601,9 @@ def check_roundtrip(n: int, count: int, seed: int) -> LawReport:
         depth = t % 4
         f, record = gen_coset_ring(ambient, flats, depth, rng)
         expr, drep = decompose(f)
-        l_triv = trivial_expr(round_to_int(f).f_int).L
+        # the point-mass expression's L: |c| terms at x = 0, 2|c| elsewhere
+        c = np.abs(np.rint(f.values))
+        l_triv = int(2 * c.sum() - c[0])
         if l_triv:
             ratios.append(drep.L / l_triv)
         rep.record(

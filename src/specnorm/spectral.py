@@ -300,7 +300,7 @@ ROUND_GUARD = 0.5 - 1e-9
 def round_to_int(f: RealFn) -> AlmostIntFn:
     """Pointwise nearest-integer rounding with exact deviation."""
     rounded = np.rint(f.values)
-    eps = float(np.max(np.abs(f.values - rounded))) if f.values.size else 0.0
+    eps = float(np.max(np.abs(f.values - rounded)))
     if eps >= ROUND_GUARD:
         raise NotAlmostInteger(f"max deviation {eps} >= {ROUND_GUARD}")
     # rint of a finite table is finite

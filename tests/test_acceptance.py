@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from specnorm import fourier
-from specnorm.decompose import decompose, decomposition_json, evaluate, trivial_expr
+from specnorm.decompose import decompose, decomposition_json, evaluate
 from specnorm.fourier import RealFn, iwht, wht
 from specnorm.generate import (
     flat_indicator,
@@ -37,7 +37,6 @@ from specnorm.spectral import (
     a_norm,
     find_spectral_support,
     is_spectrally_supported,
-    round_to_int,
 )
 
 SEED = 2026
@@ -212,7 +211,8 @@ def run_roundtrips():
         f, record = gen_coset_ring(Ambient(n), 1 + t % 4, t % 4, rng)
         expr, rep = decompose(f)
         digest.update(json.dumps(decomposition_json(expr, rep), sort_keys=True).encode())
-        l_triv = trivial_expr(round_to_int(f).f_int).L
+        c = np.abs(np.rint(f.values))
+        l_triv = int(2 * c.sum() - c[0])
         exact_vals = np.array_equal(
             np.rint(evaluate(expr).values), np.rint(f.values)
         )

@@ -5,10 +5,11 @@ test_acceptance.py; here we just want every check exercised on each push.
 import itertools
 import math
 import tracemalloc
+from statistics import median
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from specnorm import fourier, laws
@@ -39,7 +40,7 @@ from specnorm.additive import (
     sumset,
 )
 from specnorm.fourier import RealFn, convolve, lp_norm
-from specnorm.decompose import decompose
+from specnorm.decompose import decompose, trivial_expr
 from specnorm.generate import gen_coset_ring, random_subgroup, rng_for
 from specnorm.gf2 import Ambient, trivial
 from specnorm.spectral import (
@@ -47,6 +48,7 @@ from specnorm.spectral import (
     find_spectral_support,
     pd_eval,
     psi,
+    round_to_int,
 )
 
 
@@ -183,6 +185,43 @@ class TestChecksSmall:
             rep = check(4, 2, 0)
             assert isinstance(rep, LawReport), name
             assert rep.elapsed >= 0.0
+
+
+@st.composite
+def sparse_integer_tables(draw):
+    """Integer tables on F_2^n, n = 1..8, with entries in -3..3 at density
+    0.1, 0.5 or 1, and sometimes a nonzero value forced at 0."""
+    a = Ambient(draw(st.integers(1, 8)))
+    density = draw(st.sampled_from([0.1, 0.5, 1.0]))
+    rng = rng_for(draw(st.integers(0, 2**32 - 1)))
+    vals = rng.integers(-3, 4, a.size) * (rng.random(a.size) < density)
+    if draw(st.booleans()):
+        vals[0] = draw(st.sampled_from([-3, -2, -1, 1, 2, 3]))
+    return RealFn(a, vals.astype(float))
+
+
+class TestRoundtripBaseline:
+    """check_roundtrip and criterion 10 count the point-mass expression's
+    terms instead of building it."""
+
+    @given(sparse_integer_tables())
+    @example(RealFn(Ambient(3), np.zeros(8)))
+    @example(RealFn(Ambient(1), [-2.0, 0.0]))
+    @settings(max_examples=150, deadline=None)
+    def test_count_matches_trivial_expr(self, f):
+        c = np.abs(np.rint(f.values))
+        assert int(2 * c.sum() - c[0]) == trivial_expr(f).L
+
+    @pytest.mark.parametrize("n, count, seed", [(5, 24, 7), (8, 12, 0), (10, 8, 3)])
+    def test_median_ratio_matches_trivial_expr(self, n, count, seed):
+        ratios = []
+        for t in range(count):
+            f, _ = gen_coset_ring(Ambient(n), 1 + t % 4, t % 4, rng_for(seed, t))
+            l_triv = trivial_expr(round_to_int(f).f_int).L
+            if l_triv:
+                ratios.append(decompose(f)[1].L / l_triv)
+        want = median(ratios) if ratios else None
+        assert check_roundtrip(n, count, seed).notes["median_L_ratio"] == want
 
 
 def _reference_tiny_norm_mask(mask: int, n: int) -> tuple[bool, float]:
