@@ -76,7 +76,7 @@ class DecomposeParams:
 @dataclass
 class DecomposeReport:
     L: int = 0
-    depth: int = 0
+    depth: int = 0  # never written: one descent, no recursion; kept as a report key
     splits: list = field(default_factory=list)
     fallback_used: bool = False  # the step is total; kept as a report key
     exact: bool = False

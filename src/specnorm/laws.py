@@ -59,8 +59,7 @@ from .additive import (
     spec_set,
 )
 from .decompose import decompose
-# a module name of its own, so that tests can swap in a faulty matrix
-from .fourier import sylvester as _hadamard
+from .fourier import sylvester
 from .generate import (
     gen_coset_ring,
     random_structured_set_mask,
@@ -298,7 +297,7 @@ def check_tiny_norm(n: int) -> LawReport:
     rep = LawReport(law_id="tiny-norm")
     N = 1 << n
     masks = np.arange(1, 1 << N, dtype=np.int64)
-    ok, min_noncoset = _tiny_norm_verdicts(masks, _hadamard(N))
+    ok, min_noncoset = _tiny_norm_verdicts(masks, sylvester(N))
     rep.record_many(np.where(ok, 0.0, -1.0), lambda i: {"mask": int(masks[i]), "n": n})
     # at n = 1 every nonzero boolean function is a coset indicator
     if math.isfinite(min_noncoset) and abs(min_noncoset - 1.5) > TINY_NORM_TOL:

@@ -37,7 +37,7 @@ import numpy as np
 
 from . import fourier
 from .fourier import BLOCK_BITS, RealFn
-from .gf2 import Subgroup, rref_span
+from .gf2 import AmbientMismatch, Subgroup, rref_span
 
 
 class NotAlmostInteger(ValueError):
@@ -78,7 +78,7 @@ def a_norm(f: RealFn) -> float:
 def psi(f: RealFn, H: Subgroup) -> RealFn:
     """Average f over cosets of H (spectrum restricted to H^perp)."""
     if f.ambient != H.ambient:
-        raise fourier.AmbientMismatch("function and subgroup ambients differ")
+        raise AmbientMismatch("function and subgroup ambients differ")
     return RealFn(f.ambient, _coset_sums(f.values, H, H.size))
 
 

@@ -1,14 +1,17 @@
-"""Static checks on the package source and its README: every name a
-module imports is read in that module (__init__.py is skipped, since its
-imports are the package's re-exports, and so are ``from __future__``
-imports), every function, class and method the package defines is named
-somewhere besides its definition in the package's modules or the
-benchmark, so that no name is kept only for tests, and every
-``module.attr`` the README names in backticks resolves."""
+"""Static checks on the package source, its tests and its README: every
+name a module imports is read in that module (__init__.py is skipped,
+since it only imports modules, and so are ``from __future__`` imports),
+every function, class and method the package defines is named somewhere
+besides its definition in the package's modules or the benchmark, so that
+no name is kept only for tests, every name the package and its tests read
+from a specnorm module is defined there, and every ``module.attr`` the
+README names in backticks resolves."""
 
 import ast
 import importlib
 import re
+import subprocess
+import sys
 from collections import Counter
 from pathlib import Path
 
@@ -86,10 +89,97 @@ def test_scanner_finds_an_unreferenced_definition():
 
 
 def test_every_definition_is_referenced():
-    # the re-exports in __init__.py and the tests do not count as readers
+    # __init__.py only imports modules, and the tests do not count as readers
     texts = [p.read_text() for p in MODULES + sorted((ROOT / "perfbench").glob("*.py"))]
     names = [n for p in MODULES for n in definitions(p.read_text())]
     assert unreferenced(names, texts) == []
+
+
+def top_level_names(source: str) -> set[str]:
+    """The names that source's top-level def, class and assignment
+    statements bind."""
+    names = set()
+    for node in ast.parse(source).body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, ast.Assign):
+            names.update(t.id for t in node.targets if isinstance(t, ast.Name))
+    return names
+
+
+def _package_module(node: ast.ImportFrom) -> str | None:
+    """The specnorm module that node imports from ("" for the package
+    itself), or None when node imports from outside specnorm."""
+    if node.level == 1:
+        return node.module or ""
+    head, _, rest = (node.module or "").partition(".")
+    return rest if node.level == 0 and head == "specnorm" else None
+
+
+def misplaced_reads(source: str, homes: dict[str, set[str]]) -> list[str]:
+    """The names that source reads from a specnorm module m other than
+    through a top-level def, class or assignment of m (homes[m]), as
+    "line: m.name" in line order.  A read is ``from .m import x``,
+    ``from specnorm.m import x``, or ``m.x`` where m is bound by
+    ``from . import m``, ``from specnorm import m`` or
+    ``import specnorm.m as m``."""
+    tree = ast.parse(source)
+    bound, reads = {}, []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            module = _package_module(node)
+            if module:
+                reads += [(node.lineno, module, a.name) for a in node.names]
+            elif module == "":
+                bound.update((a.asname or a.name, a.name) for a in node.names if a.name in homes)
+        elif isinstance(node, ast.Import):
+            for a in node.names:
+                head, _, module = a.name.partition(".")
+                if head == "specnorm" and module in homes and a.asname:
+                    bound[a.asname] = module
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) \
+                and node.value.id in bound:
+            reads.append((node.lineno, bound[node.value.id], node.attr))
+    return [f"{line}: {m}.{x}" for line, m, x in sorted(reads) if x not in homes.get(m, ())]
+
+
+def test_scanner_finds_misplaced_reads():
+    homes = {"fourier": {"RealFn", "sylvester"}, "gf2": {"AmbientMismatch"}, "laws": {"check"}}
+    source = (
+        "import specnorm.gf2 as g\nimport numpy as np\n"
+        "from specnorm import fourier, laws\nfrom .fourier import RealFn, AmbientMismatch\n"
+        "from specnorm.gf2 import AmbientMismatch as E\n"
+        "def f(monkeypatch):\n"
+        "    monkeypatch.setattr(laws, 'sylvester', fourier.sylvester)\n"
+        "    np.sylvester, g.AmbientMismatch, g.trivial, laws.check\n"
+        "    return laws.sylvester(fourier.RealFn)\n"
+    )
+    assert misplaced_reads(source, homes) == [
+        "4: fourier.AmbientMismatch", "8: gf2.trivial", "9: laws.sylvester"]
+    assert top_level_names("import os\nX = Y = 1\nclass C:\n    V = 0\ndef f(): pass\n") \
+        == {"X", "Y", "C", "f"}
+
+
+def test_names_are_read_from_their_module():
+    homes = {p.stem: top_level_names(p.read_text()) for p in MODULES}
+    files = MODULES + sorted((ROOT / "tests").glob("*.py"))
+    misplaced = [f"{p.name}:{read}" for p in files
+                 for read in misplaced_reads(p.read_text(), homes)]
+    assert misplaced == []
+
+
+def test_package_holds_only_its_modules():
+    # a fresh interpreter, since importing any other submodule (as the
+    # tests do) binds it on the package too
+    code = ("import sys, specnorm\n"
+            "print(sorted(k for k in vars(specnorm) if not k.startswith('__')))\n"
+            "print(specnorm.decompose is sys.modules['specnorm.decompose'],"
+            " '__version__' in vars(specnorm))")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, cwd=Path(specnorm.__file__).parents[1]).stdout.splitlines()
+    modules = sorted(["fourier", "gf2", "spectral", "additive", "decompose"])
+    assert out == [str(modules), "True True"]
 
 
 def module_names(text: str) -> list[str]:

@@ -41,7 +41,12 @@ from specnorm.additive import (
 )
 from specnorm.fourier import RealFn, convolve, lp_norm
 from specnorm.decompose import decompose, trivial_expr
-from specnorm.generate import gen_coset_ring, random_subgroup, rng_for
+from specnorm.generate import (
+    gen_coset_ring,
+    random_structured_set_mask,
+    random_subgroup,
+    rng_for,
+)
 from specnorm.gf2 import Ambient, trivial
 from specnorm.spectral import (
     a_norm,
@@ -228,7 +233,7 @@ def _reference_tiny_norm_mask(mask: int, n: int) -> tuple[bool, float]:
     check_tiny_norm ran before its array pass (1e-9 is TINY_NORM_TOL):
     (ok, the anorm if the table is not a coset indicator, else inf)."""
     N = 1 << n
-    had = laws._hadamard(N)
+    had = fourier.sylvester(N)
     f = ((mask >> np.arange(N)) & 1).astype(np.float64)
     an = float(np.abs(f @ had / N).sum())
     S = np.nonzero(f > 0.5)[0]
@@ -312,9 +317,12 @@ def _reference_block_verdicts(masks: np.ndarray, had: np.ndarray) -> tuple[np.nd
     return ok, min_noncoset
 
 
-def _patch_hadamard(monkeypatch, fault):
-    original = laws._hadamard
-    monkeypatch.setattr(laws, "_hadamard", lambda N: fault(original(N)))
+def _patch_sylvester(monkeypatch, fault):
+    """Corrupt the transform matrix where check_tiny_norm reads it and where
+    the references here read it."""
+    original = fourier.sylvester
+    for module in (laws, fourier):
+        monkeypatch.setattr(module, "sylvester", lambda N: fault(original(N)))
 
 
 def _inject(fault):
@@ -335,7 +343,7 @@ class TestTinyNormArrayPass:
     def test_verdicts_match_per_mask_reference(self, n, step):
         N = 1 << n
         masks = np.arange(1, 1 << N, step, dtype=np.int64)
-        ok, _ = laws._tiny_norm_verdicts(masks, laws._hadamard(N))
+        ok, _ = laws._tiny_norm_verdicts(masks, fourier.sylvester(N))
         assert ok.all()
         assert ok.tolist() == [_reference_tiny_norm_ok(int(m), n) for m in masks]
 
@@ -355,19 +363,19 @@ class TestTinyNormArrayPass:
     ])
     def test_fault_injection_fails_like_the_reference(
             self, monkeypatch, fault, failures, first_mask):
-        _patch_hadamard(monkeypatch, _inject(fault))
+        _patch_sylvester(monkeypatch, _inject(fault))
         rep, ref = check_tiny_norm(3), _reference_tiny_norm(3)
         assert rep.failures == ref.failures == failures
         assert rep.counterexample == ref.counterexample == {"mask": first_mask, "n": 3}
         assert (rep.trials, rep.worst_margin) == (ref.trials, ref.worst_margin)
-        ok, _ = laws._tiny_norm_verdicts(np.arange(1, 256), laws._hadamard(8))
+        ok, _ = laws._tiny_norm_verdicts(np.arange(1, 256), fourier.sylvester(8))
         assert ok.tolist() == [_reference_tiny_norm_ok(m, 3) for m in range(1, 256)]
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_verdicts_match_block_reference_on_every_mask(self, n):
         N = 1 << n
         masks = np.arange(1, 1 << N, dtype=np.int64)
-        had = laws._hadamard(N)
+        had = fourier.sylvester(N)
         ok, min_noncoset = laws._tiny_norm_verdicts(masks, had)
         ref_ok, ref_min = _reference_block_verdicts(masks, had)
         assert np.array_equal(ok, ref_ok)
@@ -379,10 +387,10 @@ class TestTinyNormArrayPass:
     ])
     def test_fault_injection_at_n4_fails_like_the_block_reference(
             self, monkeypatch, fault, failures, first_mask):
-        _patch_hadamard(monkeypatch, _inject(fault))
+        _patch_sylvester(monkeypatch, _inject(fault))
         masks = np.arange(1, 1 << 16, dtype=np.int64)
-        ok, min_noncoset = laws._tiny_norm_verdicts(masks, laws._hadamard(16))
-        ref_ok, ref_min = _reference_block_verdicts(masks, laws._hadamard(16))
+        ok, min_noncoset = laws._tiny_norm_verdicts(masks, fourier.sylvester(16))
+        ref_ok, ref_min = _reference_block_verdicts(masks, fourier.sylvester(16))
         assert np.array_equal(ok, ref_ok) and min_noncoset == ref_min
         rep = check_tiny_norm(4)
         # the halved column also pulls min_noncoset below 3/2: one more failure
@@ -401,7 +409,7 @@ class TestTinyNormArrayPass:
         # a scaled row, column or entry moves some certificates' sup off 2,
         # and each mask fails only through its own first violating triple
         N = 1 << n
-        had = laws._hadamard(N)
+        had = fourier.sylvester(N)
         i, j = i % N, j % N
         if where == "row":
             had[i] *= factor
@@ -433,7 +441,7 @@ class TestTinyNormArrayPass:
     def test_tolerance_edge(self, monkeypatch, scale, passed):
         # scaling the transform by 1 + x scales every anorm by it: coset
         # anorms reach 1 + x, which TINY_NORM_TOL admits only below its edge
-        _patch_hadamard(monkeypatch, lambda had: had * (1 + scale * TINY_NORM_TOL))
+        _patch_sylvester(monkeypatch, lambda had: had * (1 + scale * TINY_NORM_TOL))
         rep = check_tiny_norm(2)
         assert rep.passed is passed
         if not passed:
@@ -496,7 +504,7 @@ def reference_check_approx_hom(n, trials, seed):
         rng = rng_for(seed, t)
         f = RealFn(ambient, rng.uniform(-1, 1, ambient.size))
         g = RealFn(ambient, rng.uniform(-1, 1, ambient.size))
-        H = laws.random_subgroup(ambient, rng)
+        H = random_subgroup(ambient, rng)
         eta = find_spectral_support(f, H, math.inf).worst_mass
         defect = a_norm(psi(f * g, H) - psi(f, H) * psi(g, H))
         bound = eta * a_norm(g) + laws.NORM_BOUND_SLACK
@@ -511,7 +519,7 @@ def reference_check_power_bound(n, trials, seed):
         rng = rng_for(seed, t)
         k = 2 + t % 4
         f = RealFn(ambient, rng.uniform(-1, 1, ambient.size))
-        H = laws.random_subgroup(ambient, rng)
+        H = random_subgroup(ambient, rng)
         eta = find_spectral_support(f, H, math.inf).worst_mass
         m_norm = a_norm(f)
         fk = RealFn(ambient, f.values**k)
@@ -544,7 +552,7 @@ def reference_check_lemma13(n, trials, seed):
     ambient = Ambient(n)
     for t in range(trials):
         rng = rng_for(seed, t)
-        A = PointSet(ambient, laws.random_structured_set_mask(ambient, rng))
+        A = PointSet(ambient, random_structured_set_mask(ambient, rng))
         stats = set_stats(A)
         K = stats.doubling
         eta = 1.0 / (2.0 * K**4)
