@@ -111,9 +111,7 @@ class SetStats:
 
 def _spectra(members: np.ndarray) -> np.ndarray:
     """wht of each row's indicator."""
-    out = fourier._wht(members.astype(np.float64))
-    out /= members.shape[-1]
-    return out
+    return fourier._fhat(members.astype(np.float64))
 
 
 def _convolutions(spec_a: np.ndarray, spec_b: np.ndarray) -> np.ndarray:

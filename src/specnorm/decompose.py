@@ -13,8 +13,10 @@ to the dual, so it takes at most n steps, and it lands on H', the
 largest subgroup that f_int is periodic under.  f_int is constant on
 H'-cosets, so it collapses to two arrays, the coset minima and its
 values there, and then to subgroup indicators via 1_{x+H} = 1_<H,x> -
-1_H.  A final evaluation, one Gray-code pass per subgroup dimension and
-one bincount, checks the result is exact.
+1_H.  _term_count is the one count of those terms, L, here and for the
+point-mass baseline that the laws measure L against.  A final
+evaluation, one Gray-code pass per subgroup dimension and one bincount,
+checks the result is exact.
 """
 
 from __future__ import annotations
@@ -102,20 +104,24 @@ def _extract_coset_terms(f_int: RealFn, H: Subgroup) -> tuple[np.ndarray, np.nda
     order, and f_int's values there as int64.
 
     Raises ValueError when the expansion would have more than MAX_TERMS
-    terms, L = |c_0| + 2 sum_{r != 0} |c_r|, counted in floats before
-    any int64 cast.
+    terms, counted by _term_count before any int64 cast.
     """
     reps = H.coset_minima()
     vals = np.rint(f_int.values[reps])
-    keep = vals != 0
-    reps, vals = reps[keep], vals[keep]
-    mass = np.abs(vals)
-    at_zero = float(mass[0]) if reps.size and reps[0] == 0 else 0.0
-    # in Python floats, where a product past float64's range is inf, unwarned
-    L = 2.0 * float(mass.sum()) - at_zero
+    L = _term_count(vals)
     if not L <= MAX_TERMS:
         raise ValueError(f"the expansion needs {L:.6g} terms, more than MAX_TERMS = {MAX_TERMS}")
-    return reps, vals.astype(np.int64)
+    keep = vals != 0
+    return reps[keep], vals[keep].astype(np.int64)
+
+
+def _term_count(c: np.ndarray) -> float:
+    """L = 2 sum|c| - |c[0]| terms for sum_i c[i] 1_{x_i + H}, c an integer
+    table over H's cosets with entry 0 on H: |c| copies of +-H for H itself
+    and of the pair +-<H, x_i>, -+H for every other coset.  The point-mass
+    count of f is H = {0}, c = f.  In Python floats: past float64's range it is inf."""
+    mass = np.abs(c)
+    return 2.0 * float(mass.sum()) - float(mass[0])
 
 
 def evaluate(expr: CosetRingExpr) -> RealFn:

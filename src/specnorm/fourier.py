@@ -1,8 +1,9 @@
 """Dense Walsh-Hadamard transform engine and basic functional calculus.
 
-The transform uses the probability-measure normalization
+The forward transform, _fhat, uses the probability-measure normalization
 fhat(r) = 2^-n * sum_x f(x) (-1)^popcount(r & x), so spectral-side
 norms use counting measure and function-side norms use the average.
+The inverse is the kernel, _wht, alone.
 
 The kernel, _wht, is radix 16: each stage transforms RADIX_BITS index
 bits at once by one np.matmul with the 16 x 16 Sylvester-Hadamard
@@ -113,6 +114,15 @@ def _wht_blocked(a: np.ndarray, n: int) -> np.ndarray:
     return out
 
 
+def _fhat(a: np.ndarray) -> np.ndarray:
+    """fhat = 2^-n _wht(a) of a (2^n,) table or of each row of an (m, 2^n)
+    stack, as a new array divided in place.  The one forward transform:
+    wht, spectral._abs_spectrum and additive._spectra call it."""
+    out = _wht(a)
+    out /= a.shape[-1]
+    return out
+
+
 def _as_table(ambient: Ambient, values) -> np.ndarray:
     arr = np.asarray(values, dtype=np.float64)
     if arr.shape != (ambient.size,):
@@ -188,9 +198,7 @@ def indicator(ambient: Ambient, points) -> RealFn:
 
 
 def wht(f: RealFn) -> Spectrum:
-    a = _wht(f.values)
-    a /= f.ambient.size
-    return Spectrum(f.ambient, a)
+    return Spectrum(f.ambient, _fhat(f.values))
 
 
 def iwht(s: Spectrum) -> RealFn:

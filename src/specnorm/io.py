@@ -141,9 +141,9 @@ def _short_reals(text: str, pos: int, count: int) -> np.ndarray | None:
     time, or None when the body needs np.fromstring: a non-ASCII
     character, a control byte that np.fromstring does not skip, a token
     longer than SHORT_TOKEN_BYTES, other than count tokens, more than
-    MAX_DISTINCT_TOKENS distinct ones, or one outside 0-9 . e E + - or
-    refused by float().  Raises MalformedInput when the distinct values
-    fail _check_range."""
+    MAX_DISTINCT_TOKENS distinct ones, or one outside 0-9 . e E + -,
+    refused by float() or parsed to +-inf.  Raises MalformedInput when the
+    distinct values fail _check_range."""
     if not text.isascii() or _LONG_FIRST.match(text, pos):
         return None
     keys = np.empty(count, dtype=np.uint64)
@@ -170,6 +170,8 @@ def _short_reals(text: str, pos: int, count: int) -> np.ndarray | None:
     try:
         table = np.array([float(t) for t in tokens], dtype=np.float64)
     except ValueError:
+        return None
+    if np.isinf(table).any():
         return None
     _check_range(table, count)
     # each float takes its key's place, CHUNK_BYTES of index at a time

@@ -64,9 +64,8 @@ class SupportCertificate:
 
 def _abs_spectrum(table: np.ndarray) -> np.ndarray:
     """|fhat| of a (2^n,) table, or of each row of an (m, 2^n) stack, as a
-    fresh array, with wht's operations."""
-    a = fourier._wht(table)
-    a /= table.shape[-1]
+    fresh array."""
+    a = fourier._fhat(table)
     return np.abs(a, out=a)
 
 

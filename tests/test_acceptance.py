@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from specnorm import fourier
-from specnorm.decompose import decompose, decomposition_json, evaluate
+from specnorm.decompose import _term_count, decompose, decomposition_json, evaluate
 from specnorm.fourier import RealFn, iwht, wht
 from specnorm.generate import (
     flat_indicator,
@@ -211,11 +211,8 @@ def run_roundtrips():
         f, record = gen_coset_ring(Ambient(n), 1 + t % 4, t % 4, rng)
         expr, rep = decompose(f)
         digest.update(json.dumps(decomposition_json(expr, rep), sort_keys=True).encode())
-        c = np.abs(np.rint(f.values))
-        l_triv = int(2 * c.sum() - c[0])
-        exact_vals = np.array_equal(
-            np.rint(evaluate(expr).values), np.rint(f.values)
-        )
+        l_triv = _term_count(f.values)  # the point-mass expression's L
+        exact_vals = np.array_equal(evaluate(expr).values, f.values)
         results.append((rep, expr.L, l_triv, exact_vals))
     return results, digest.hexdigest()
 

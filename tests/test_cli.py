@@ -770,6 +770,16 @@ def test_malformed_file_exit_2(tmp_path, capsys, text):
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("body", ["1e999 0", "-1e999 0", "1e999 0.12345678901234567"])
+def test_infinite_token_message(tmp_path, capsys, body):
+    # a token that parses to +-inf reads the same whether the body is short
+    # tokens or goes whole to np.fromstring
+    p = tmp_path / "f.txt"
+    p.write_text(f"n=1\nreal={body}\n")
+    assert main(["anorm", "--input", str(p)]) == EXIT_BAD_INPUT
+    assert capsys.readouterr().err == "error: non-finite entries\n"
+
+
 class TestExitCodes:
     def test_constants(self):
         assert (EXIT_OK, EXIT_LAW_FAILURE, EXIT_BAD_INPUT, EXIT_INCOMPLETE) == (

@@ -341,3 +341,12 @@ class TestSpectrumJson:
 
     def test_zero_function_empty(self):
         assert spectrum_to_json(wht(zeros(Ambient(3)))) == []
+
+    def test_floor_edge(self):
+        # a coefficient of exactly the floor, of either sign, is left out;
+        # one ulp above it is kept
+        floor = fourier.SPECTRUM_JSON_FLOOR
+        above = float(np.nextafter(floor, 1.0))
+        s = Spectrum(Ambient(2), [floor, -floor, above, -above])
+        assert spectrum_to_json(s) == [
+            {"r": "0x2", "coeff": above}, {"r": "0x3", "coeff": -above}]

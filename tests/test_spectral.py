@@ -18,6 +18,7 @@ from specnorm.gf2 import Ambient, full, rref_span, trivial
 from specnorm.spectral import (
     FRAME_MIN_N,
     MAX_PD_DEGREE,
+    ROUND_GUARD,
     TAKE_MIN_BIT,
     TIE_SLACK,
     NotAlmostInteger,
@@ -600,3 +601,13 @@ class TestRoundToInt:
     def test_boundary_rejected(self):
         with pytest.raises(NotAlmostInteger):
             round_to_int(RealFn(Ambient(2), [0.0, 0.5, 0.0, 0.0]))
+
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_round_guard_edge(self, sign):
+        # a deviation of exactly ROUND_GUARD is refused; one ulp below rounds
+        with pytest.raises(NotAlmostInteger):
+            round_to_int(RealFn(Ambient(1), [sign * ROUND_GUARD, 0.0]))
+        below = float(np.nextafter(ROUND_GUARD, 0.0))
+        out = round_to_int(RealFn(Ambient(1), [sign * below, 0.0]))
+        assert out.eps == below
+        assert np.array_equal(out.f_int.values, [0.0, 0.0])
