@@ -6,9 +6,9 @@ norms use counting measure and function-side norms use the average.
 The inverse is the kernel, _wht, alone.
 
 The kernel, _wht, is radix 16: each stage transforms RADIX_BITS index
-bits at once by one np.matmul with the 16 x 16 Sylvester-Hadamard
-matrix, so a 2^n table takes ceil(n / 4) stages where a radix-2
-butterfly takes n.  The last stage is shorter when 4 does not divide n.
+bits at once by np.matmul with the 16 x 16 Sylvester-Hadamard matrix,
+so a 2^n table takes ceil(n / 4) stages where a radix-2 butterfly takes
+n.  The last stage is shorter when 4 does not divide n.
 The matrices are built once, at import.  Their entries are +-1, so an
 integer table whose partial sums stay below 2^53 transforms exactly,
 whatever order the matmul sums in; real tables agree with the radix-2
@@ -25,6 +25,21 @@ path, so a row's transform never depends on how many rows share it.
 Rows longer than 2^BLOCK_BITS entries are transformed in cache-sized
 pieces (_wht_blocked) with the same stages, so with the same bits, and
 one fresh output array per call; shorter rows take whole-table stages.
+
+Stage shapes.  numpy hands each 2-D product to OpenBLAS, which runs one
+of at most 10^6 multiply-adds on its small-matrix kernel and a larger
+one through its packed general path.  With one BLAS thread a piece's
+(4096 x 16)(16 x 16) first stage took 64-68 us on the packed path and
+30-32 us as sixteen (256 x 16) batches, and its 16 x 4096 stage of bits
+12-15 took 59-62 us against 52-55 us as two 2,048-column slices (55-58
+as four of 1,024), medians in seven processes (BENCH_42.json).  So from
+n = 13 the first stage runs as (..., 256, 16) batches, which never span
+two rows, and a stage whose products would pass 2^19 multiply-adds runs
+in column slices within it: 2,048 columns for a full stage (bits 12-15,
+and the cross-piece slabs).  Each output entry is still the same 16-term
+product summed in the same order, so the bits do not move.  Stacks of
+shorter rows, as the laws and decompose make, keep one first-stage
+product.
 """
 
 from __future__ import annotations
@@ -62,8 +77,11 @@ def _wht(a: np.ndarray) -> np.ndarray:
     A stage transforms index bits lo .. lo+k-1: it views the rows as
     (outer, 2^k, 2^lo) and multiplies the middle axis by the 2^k x 2^k
     Sylvester matrix.  At lo = 0 that is one matmul of the (outer, 2^k)
-    view.  Only n comes from the row length; rows never mix, since every
-    view splits each row into whole blocks.  a itself is never written.
+    view, in 256-row batches from n = 13.  Each later stage runs as
+    column slices of at most 2^19 multiply-adds a product, one slice when
+    the whole stage fits (see "Stage shapes" above).  Only n comes from
+    the row length; rows never mix, since every view splits each row into
+    whole blocks.  a itself is never written.
     """
     n = a.shape[-1].bit_length() - 1
     k = min(RADIX_BITS, n)
@@ -75,11 +93,17 @@ def _wht(a: np.ndarray) -> np.ndarray:
         # differ from the matrix path's by ulps: so that a row's transform
         # does not depend on how many rows share its call, pad it to two
         return _wht(np.concatenate((a, a)))[:1]
+    if a.shape[-1] > 256 << k:  # a row holds more than one batch of 256 * 2^k
+        out = out.reshape(-1, 256, 1 << k)
     out = out @ _SYLVESTER[k]
     lo = k
     while lo < n:
         k = min(RADIX_BITS, n - lo)
-        out = _SYLVESTER[k] @ out.reshape(-1, 1 << k, 1 << lo)
+        x = out.reshape(-1, 1 << k, 1 << lo)
+        cols = 1 << (19 - 2 * k)  # 2^19 multiply-adds a product
+        out = np.empty(x.shape)
+        for c in range(0, 1 << lo, cols):
+            np.matmul(_SYLVESTER[k], x[..., c:c + cols], out=out[..., c:c + cols])
         lo += k
     return out.reshape(a.shape)
 
@@ -90,24 +114,31 @@ def _wht_blocked(a: np.ndarray, n: int) -> np.ndarray:
     piece-sized temporary and the piece's place in the output.  Each later
     stage runs in place, one column slab of the (outer, 2^k, 2^lo) view at
     a time, through the same temporary.  Every entry is the same matrix
-    product of the same stage inputs as on a whole-table stage."""
+    product of the same stage inputs as on a whole-table stage, and no
+    product exceeds 2^19 multiply-adds, as in _wht."""
     out = np.empty(a.shape)
     tmp = np.empty(1 << BLOCK_BITS)
-    S = _SYLVESTER[RADIX_BITS]
+    k = RADIX_BITS
+    S = _SYLVESTER[k]
+    batch = (-1, 256, 1 << k)  # _wht's first-stage batch
+    cols = 1 << (19 - 2 * k)  # and its widest product
     for src, dst in zip(a.reshape(-1, 1 << BLOCK_BITS), out.reshape(-1, 1 << BLOCK_BITS)):
-        np.matmul(src.reshape(-1, 1 << RADIX_BITS), S, out=tmp.reshape(-1, 1 << RADIX_BITS))
+        np.matmul(src.reshape(batch), S, out=tmp.reshape(batch))
         x, y = tmp, dst  # an even number of stages: the last lands in dst
-        for lo in range(RADIX_BITS, BLOCK_BITS, RADIX_BITS):
-            view = (-1, 1 << RADIX_BITS, 1 << lo)
-            np.matmul(S, x.reshape(view), out=y.reshape(view))
+        for lo in range(k, BLOCK_BITS, k):
+            view = (-1, 1 << k, 1 << lo)
+            xv, yv = x.reshape(view), y.reshape(view)
+            for c in range(0, 1 << lo, cols):
+                np.matmul(S, xv[..., c:c + cols], out=yv[..., c:c + cols])
             x, y = y, x
     lo = BLOCK_BITS
     while lo < n:
         k = min(RADIX_BITS, n - lo)
-        t = tmp.reshape(1 << k, -1)
+        cols = min(tmp.size >> k, 1 << (19 - 2 * k))
+        t = tmp[:cols << k].reshape(1 << k, cols)
         for rows in out.reshape(-1, 1 << k, 1 << lo):
-            for c in range(0, 1 << lo, t.shape[1]):
-                slab = rows[:, c:c + t.shape[1]]
+            for c in range(0, 1 << lo, cols):
+                slab = rows[:, c:c + cols]
                 np.matmul(_SYLVESTER[k], slab, out=t)
                 slab[...] = t
         lo += k
@@ -116,10 +147,12 @@ def _wht_blocked(a: np.ndarray, n: int) -> np.ndarray:
 
 def _fhat(a: np.ndarray) -> np.ndarray:
     """fhat = 2^-n _wht(a) of a (2^n,) table or of each row of an (m, 2^n)
-    stack, as a new array divided in place.  The one forward transform:
-    wht, spectral._abs_spectrum and additive._spectra call it."""
+    stack, as a new array scaled in place.  The one forward transform:
+    wht, spectral._abs_spectrum and additive._spectra call it.  2^-n is
+    exact, so the product rounds as the division by 2^n does, at half its
+    cost."""
     out = _wht(a)
-    out /= a.shape[-1]
+    out *= 1.0 / a.shape[-1]
     return out
 
 

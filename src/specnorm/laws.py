@@ -549,7 +549,7 @@ def check_chang_report(n: int, trials: int, seed: int) -> LawReport:
         dim = rref_span(ambient, spec_set(A, CHANG_RHO).points()).dim
         shape = CHANG_RHO**-2 * (1.0 + math.log(1.0 / A.density))
         ratios.append(dim / shape)
-        rep.record(0.0, {"trial": t})
+        rep.record(0.0, {"trial": t, "seed": seed, "n": n})
     rep.notes["max_dim_over_shape"] = max(ratios) if ratios else None
     rep.notes["median_dim_over_shape"] = median(ratios) if ratios else None
     return rep
@@ -572,7 +572,7 @@ def check_connectedness(n: int, trials: int, seed: int) -> LawReport:
                 H = random_subgroup(ambient, rng)
             A = PointSet.from_points(ambient, [x for x in H.elements() if x])
             ok, witness = is_arithmetically_connected(A, 2)
-            rep.record(0.0 if ok and witness is None else -1.0, {"trial": t})
+            rep.record(0.0 if ok and witness is None else -1.0, {"trial": t, "seed": seed, "n": n})
         else:
             k = 3 + t % max(1, n - 3)
             k = min(k, n)
@@ -587,7 +587,7 @@ def check_connectedness(n: int, trials: int, seed: int) -> LawReport:
                 good = span.dim == m and not any(
                     span.contains(a) for a in pts if a not in witness
                 )
-            rep.record(0.0 if good else -1.0, {"trial": t, "m": m})
+            rep.record(0.0 if good else -1.0, {"trial": t, "seed": seed, "n": n, "m": m})
     return rep
 
 

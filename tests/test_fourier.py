@@ -93,11 +93,18 @@ class TestKernel:
 
     @pytest.mark.parametrize("n", range(1, 23))
     def test_bit_equal_to_whole_table_kernel(self, n):
+        # on 1-D tables and stacks of 1, 2, 3 and 8 rows up to 2^23 entries
+        # (64 MiB), of reals, of integers and of 0/1 entries
         rng = np.random.default_rng(n)
-        reals = rng.uniform(-1, 1, 1 << n)
-        ints = rng.integers(-(2**20), 2**20, 1 << n, endpoint=True).astype(np.float64)
-        for x in (reals, ints):
-            assert fourier._wht(x).tobytes() == reference_radix16(x).tobytes()
+        draws = (lambda s: rng.uniform(-1, 1, s),
+                 lambda s: rng.integers(-(2**20), 2**20, s, endpoint=True).astype(np.float64),
+                 lambda s: rng.integers(0, 2, s).astype(np.float64))
+        shapes = [(1 << n,)] + [(m, 1 << n) for m in (1, 2, 3, 8) if m << n <= 1 << 23]
+        for shape in shapes:
+            for draw in draws:
+                x = draw(shape)
+                got, want = fourier._wht(x), reference_radix16(x)
+                assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("n", range(fourier.BLOCK_BITS + 1, 21))
     @pytest.mark.parametrize("m", [2, 3])

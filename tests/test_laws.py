@@ -192,6 +192,30 @@ class TestChecksSmall:
             assert rep.elapsed >= 0.0
 
 
+class TestReplayableWitnesses:
+    """A counterexample names its trial, seed and n, so the law replays it
+    alone: the same check run up to that trial fails there first."""
+
+    def test_connectedness(self, monkeypatch):
+        # every family reads as connected: the odd trials' independent
+        # vectors, which are not, fail
+        monkeypatch.setattr(laws, "is_arithmetically_connected", lambda A, m: (True, None))
+        rep = check_connectedness(6, 4, 21)
+        assert rep.failures == 2
+        assert rep.counterexample == {"trial": 1, "seed": 21, "n": 6, "m": 3}
+        w = rep.counterexample
+        assert check_connectedness(w["n"], w["trial"] + 1, w["seed"]).counterexample == w
+
+    def test_chang_report(self, monkeypatch):
+        # the report never fails by itself: record every trial as failed
+        record = LawReport.record
+        monkeypatch.setattr(LawReport, "record",
+                            lambda self, margin, witness: record(self, -1.0, witness))
+        rep = check_chang_report(8, 3, 5)
+        assert rep.failures == 3
+        assert rep.counterexample == {"trial": 0, "seed": 5, "n": 8}
+
+
 @st.composite
 def sparse_integer_tables(draw):
     """Integer tables on F_2^n, n = 1..8, with entries in -3..3 at density

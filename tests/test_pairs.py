@@ -42,6 +42,40 @@ class TestSummarize:
         assert s["change_better_pairs"] == "1/1"
         assert s["median_gap_exceeds_parent_quartile_spread"] is True
 
+    # ten pairs, lower is better: the parent's median is 11, its quartiles
+    # 10.25 and 12, so a median gap must exceed 1.75
+    PARENT = [10, 11, 12, 13, 10, 11, 12, 13, 10, 11]
+
+    def test_claim_met(self):
+        s = pairs.summarize(self.PARENT, [x - 3 for x in self.PARENT], "lower", 0.25)
+        assert s["change_better_pairs"] == "10/10"
+        assert s["claim_met"] is True
+
+    def test_claim_missed_on_pairs(self):
+        # 3 gained in 8 pairs and 1 lost in 2: the gap still exceeds the spread
+        change = [x - 3 for x in self.PARENT[:8]] + [x + 1 for x in self.PARENT[8:]]
+        s = pairs.summarize(self.PARENT, change, "lower", 0.25)
+        assert s["change_better_pairs"] == "8/10"
+        assert s["median_gap_exceeds_parent_quartile_spread"] is True
+        assert s["claim_met"] is False
+
+    def test_claim_missed_on_spread(self):
+        # every pair won, by less than the parent's quartile spread
+        s = pairs.summarize(self.PARENT, [x - 1 for x in self.PARENT], "lower", 0.25)
+        assert s["change_better_pairs"] == "10/10"
+        assert s["median_gap_exceeds_parent_quartile_spread"] is False
+        assert s["claim_met"] is False
+
+    def test_claim_with_ties(self):
+        # a tie is no win: 9 wins and a tie meet 9/10, 10 wins and 2 ties of 12 do not
+        parent = [40, 41, 42, 43] * 3
+        for won, runs, met in ((9, 10, True), (10, 12, False)):
+            change = [x + 5 for x in parent[:won]] + parent[won:runs]
+            s = pairs.summarize(parent[:runs], change, "higher", 0.25)
+            assert s["change_better_pairs"] == f"{won}/{runs}"
+            assert s["median_gap_exceeds_parent_quartile_spread"] is True
+            assert s["claim_met"] is met
+
     def test_unpaired_runs(self):
         with pytest.raises(ValueError):
             pairs.summarize([1.0, 2.0], [1.0], "lower", 0.25)

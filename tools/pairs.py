@@ -17,6 +17,9 @@ each metric
   (a tie counts as not better), as "k/N";
 - median_gap_exceeds_parent_quartile_spread: whether the change's median
   is better than the parent's by more than the parent's q3 - q1;
+- claim_met: whether a claimed gain on the metric holds: the change did
+  strictly better in at least 9/10 of the pairs (a tie is no win) and its
+  median gap exceeds the parent's quartile spread, as above;
 - relative_quartile_spread, the larger side's (q3 - q1) / median, and
   unresolved, whether that spread exceeds the metric's bound;
 - every run, in seed order.
@@ -51,14 +54,15 @@ def summarize(parent: list[float], change: list[float], better: str, bound: floa
     sign = 1.0 if better == "higher" else -1.0
     p, c = quartiles(parent), quartiles(change)
     wins = sum(sign * (b - a) > 0 for a, b in zip(parent, change))
+    gap_exceeds = sign * (c["median"] - p["median"]) > p["q3"] - p["q1"]
     spread = max((s["q3"] - s["q1"]) / abs(s["median"]) if s["median"] else 0.0
                  for s in (p, c))
     return {
         "parent": p,
         "change": c,
         "change_better_pairs": f"{wins}/{len(parent)}",
-        "median_gap_exceeds_parent_quartile_spread":
-            sign * (c["median"] - p["median"]) > p["q3"] - p["q1"],
+        "median_gap_exceeds_parent_quartile_spread": gap_exceeds,
+        "claim_met": gap_exceeds and 10 * wins >= 9 * len(parent),
         "relative_quartile_spread": spread,
         "bound": bound,
         "unresolved": spread > bound,
