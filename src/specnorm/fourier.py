@@ -22,9 +22,10 @@ each row comes out bit for bit as its own 1-D transform.  At n <= 4 a
 agree to within rounding; a stack of one row is padded onto the matrix
 path, so a row's transform never depends on how many rows share it.
 
-Rows longer than 2^BLOCK_BITS entries are transformed in cache-sized
-pieces (_wht_blocked) with the same stages, so with the same bits, and
-one fresh output array per call; shorter rows take whole-table stages.
+Rows longer than 2^BLOCK_BITS entries take the same stages in
+cache-sized pieces, so with the same bits: the stages below bit
+BLOCK_BITS run on one piece at a time and the later ones across pieces.
+Shorter rows take whole-stack stages.
 
 Stage shapes.  numpy hands each 2-D product to OpenBLAS, which runs one
 of at most 10^6 multiply-adds on its small-matrix kernel and a larger
@@ -54,10 +55,10 @@ from .gf2 import Ambient, AmbientMismatch, point_to_hex
 BACKEND = "numpy-radix16"
 RADIX_BITS = 4
 # A piece of 2^BLOCK_BITS float64 entries is 512 KiB, within a 2 MiB L2
-# cache.  BLOCK_BITS is a multiple of 2 * RADIX_BITS, so a piece takes an
-# even number of whole radix stages and the short stage stays last.
-# Pieces of 2^8 took 86 ms at n = 20 against 10 ms, and 2^15 would
-# regroup the stages and change the bits.
+# cache.  BLOCK_BITS is a multiple of RADIX_BITS, so a piece's stages are
+# all full: the short stage comes last, as on a whole table, and the bits
+# do not move.  Pieces of 2^8 took 86 ms at n = 20 against 10 ms, and 2^15
+# would regroup the stages and change the bits.
 BLOCK_BITS = 16
 
 
@@ -76,72 +77,54 @@ def _wht(a: np.ndarray) -> np.ndarray:
 
     A stage transforms index bits lo .. lo+k-1: it views the rows as
     (outer, 2^k, 2^lo) and multiplies the middle axis by the 2^k x 2^k
-    Sylvester matrix.  At lo = 0 that is one matmul of the (outer, 2^k)
-    view, in 256-row batches from n = 13.  Each later stage runs as
-    column slices of at most 2^19 multiply-adds a product, one slice when
-    the whole stage fits (see "Stage shapes" above).  Only n comes from
-    the row length; rows never mix, since every view splits each row into
-    whole blocks.  a itself is never written.
+    Sylvester matrix.  The stages below bit BLOCK_BITS run on one piece at
+    a time: the whole stack when n <= BLOCK_BITS, else 2^BLOCK_BITS
+    entries.  The first is one matmul of the piece's (outer, 2^k) view, in
+    256-row batches from n = 13; the later ones alternate between a
+    piece-sized temporary and the piece's place in the output, starting
+    so that the last lands in the output.  The stages from bit BLOCK_BITS
+    up run in place, one column slab of each (2^k, 2^lo) block at a time,
+    through the same temporary.  Each later stage runs in column slices
+    (see "Stage shapes" above).  Only n comes from the row length; rows
+    never mix, since every view splits each row into whole blocks.  a
+    itself is never written.
     """
     n = a.shape[-1].bit_length() - 1
     k = min(RADIX_BITS, n)
-    if n > BLOCK_BITS:
-        return _wht_blocked(a, n)
-    out = a.reshape(-1, 1 << k)
-    if a.ndim > 1 and out.shape[0] == 1:
+    if a.ndim > 1 and a.size == 1 << k:
         # numpy multiplies a lone row (n <= 4) on its vector path, whose sums
         # differ from the matrix path's by ulps: so that a row's transform
         # does not depend on how many rows share its call, pad it to two
         return _wht(np.concatenate((a, a)))[:1]
-    if a.shape[-1] > 256 << k:  # a row holds more than one batch of 256 * 2^k
-        out = out.reshape(-1, 256, 1 << k)
-    out = out @ _SYLVESTER[k]
-    lo = k
-    while lo < n:
-        k = min(RADIX_BITS, n - lo)
-        x = out.reshape(-1, 1 << k, 1 << lo)
-        cols = 1 << (19 - 2 * k)  # 2^19 multiply-adds a product
-        out = np.empty(x.shape)
-        for c in range(0, 1 << lo, cols):
-            np.matmul(_SYLVESTER[k], x[..., c:c + cols], out=out[..., c:c + cols])
-        lo += k
-    return out.reshape(a.shape)
-
-
-def _wht_blocked(a: np.ndarray, n: int) -> np.ndarray:
-    """_wht for n > BLOCK_BITS.  The stages below bit BLOCK_BITS run on one
-    piece of 2^BLOCK_BITS entries at a time, alternating between a
-    piece-sized temporary and the piece's place in the output.  Each later
-    stage runs in place, one column slab of the (outer, 2^k, 2^lo) view at
-    a time, through the same temporary.  Every entry is the same matrix
-    product of the same stage inputs as on a whole-table stage, and no
-    product exceeds 2^19 multiply-adds, as in _wht."""
+    cut = min(n, BLOCK_BITS)
+    within, across = [], []  # (lo, bits, columns a slice) of the later stages
+    for lo in range(k, n, RADIX_BITS):
+        j = min(RADIX_BITS, n - lo)
+        # a slice is at most 2^19 multiply-adds and at most one piece
+        (within if lo < cut else across).append((lo, j, 1 << min(19 - 2 * j, cut - j)))
     out = np.empty(a.shape)
-    tmp = np.empty(1 << BLOCK_BITS)
-    k = RADIX_BITS
-    S = _SYLVESTER[k]
-    batch = (-1, 256, 1 << k)  # _wht's first-stage batch
-    cols = 1 << (19 - 2 * k)  # and its widest product
-    for src, dst in zip(a.reshape(-1, 1 << BLOCK_BITS), out.reshape(-1, 1 << BLOCK_BITS)):
-        np.matmul(src.reshape(batch), S, out=tmp.reshape(batch))
-        x, y = tmp, dst  # an even number of stages: the last lands in dst
-        for lo in range(k, BLOCK_BITS, k):
-            view = (-1, 1 << k, 1 << lo)
-            xv, yv = x.reshape(view), y.reshape(view)
+    if n > BLOCK_BITS:
+        pieces = zip(a.reshape(-1, 1 << BLOCK_BITS), out.reshape(-1, 1 << BLOCK_BITS))
+        tmp = np.empty(1 << BLOCK_BITS)
+    else:  # one piece, the whole stack
+        pieces, tmp = ((a, out),), np.empty(a.shape)
+    first = (-1, 256, 1 << k) if a.shape[-1] > 256 << k else (-1, 1 << k)
+    for src, dst in pieces:
+        # the stages alternate between tmp and dst: start so the last is in dst
+        x, y = (tmp, dst) if len(within) % 2 else (dst, tmp)
+        np.matmul(src.reshape(first), _SYLVESTER[k], out=x.reshape(first))
+        for lo, j, cols in within:
+            xv, yv = x.reshape(-1, 1 << j, 1 << lo), y.reshape(-1, 1 << j, 1 << lo)
             for c in range(0, 1 << lo, cols):
-                np.matmul(S, xv[..., c:c + cols], out=yv[..., c:c + cols])
+                np.matmul(_SYLVESTER[j], xv[..., c:c + cols], out=yv[..., c:c + cols])
             x, y = y, x
-    lo = BLOCK_BITS
-    while lo < n:
-        k = min(RADIX_BITS, n - lo)
-        cols = min(tmp.size >> k, 1 << (19 - 2 * k))
-        t = tmp[:cols << k].reshape(1 << k, cols)
-        for rows in out.reshape(-1, 1 << k, 1 << lo):
+    for lo, j, cols in across:
+        t = tmp[:cols << j].reshape(1 << j, cols)
+        for rows in out.reshape(-1, 1 << j, 1 << lo):
             for c in range(0, 1 << lo, cols):
                 slab = rows[:, c:c + cols]
-                np.matmul(_SYLVESTER[k], slab, out=t)
+                np.matmul(_SYLVESTER[j], slab, out=t)
                 slab[...] = t
-        lo += k
     return out
 
 

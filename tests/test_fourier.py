@@ -50,8 +50,8 @@ def reference_butterfly(values):
 
 
 def reference_radix16(a):
-    """The radix-16 kernel on whole tables: every stage a fresh array of
-    the whole stack, the shape _wht takes up to n = BLOCK_BITS."""
+    """The radix-16 kernel on whole tables: every stage one product, into
+    a fresh array of the whole stack."""
     n = a.shape[-1].bit_length() - 1
     k = min(fourier.RADIX_BITS, n)
     out = a.reshape(-1, 1 << k)
@@ -91,15 +91,18 @@ class TestKernel:
         assert np.array_equal(iwht(Spectrum(a, x)).values, want)
         assert np.array_equal(wht(RealFn(a, x)).coeffs, want / a.size)
 
-    @pytest.mark.parametrize("n", range(1, 23))
+    @pytest.mark.parametrize("n", range(0, 23))
     def test_bit_equal_to_whole_table_kernel(self, n):
-        # on 1-D tables and stacks of 1, 2, 3 and 8 rows up to 2^23 entries
-        # (64 MiB), of reals, of integers and of 0/1 entries
+        # on 1-D tables and stacks of 0, 1, 2, 3 and 8 rows up to 2^23
+        # entries (64 MiB), of reals, of integers and of 0/1 entries; pieces
+        # hold whole radix stages, so n = BLOCK_BITS + 1 is still one short
+        # stage, the last
+        assert fourier.BLOCK_BITS % (2 * fourier.RADIX_BITS) == 0
         rng = np.random.default_rng(n)
         draws = (lambda s: rng.uniform(-1, 1, s),
                  lambda s: rng.integers(-(2**20), 2**20, s, endpoint=True).astype(np.float64),
                  lambda s: rng.integers(0, 2, s).astype(np.float64))
-        shapes = [(1 << n,)] + [(m, 1 << n) for m in (1, 2, 3, 8) if m << n <= 1 << 23]
+        shapes = [(1 << n,)] + [(m, 1 << n) for m in (0, 1, 2, 3, 8) if m << n <= 1 << 23]
         for shape in shapes:
             for draw in draws:
                 x = draw(shape)
@@ -117,24 +120,6 @@ class TestKernel:
     def test_n24_bit_equal_to_whole_table_kernel(self):
         x = np.random.default_rng(24).uniform(-1, 1, 1 << 24)
         assert fourier._wht(x).tobytes() == reference_radix16(x).tobytes()
-
-    def test_block_edge(self, monkeypatch):
-        # n = BLOCK_BITS is one piece on the whole-table path; n = BLOCK_BITS
-        # + 1 is the first blocked n, and its short stage comes last
-        assert fourier.BLOCK_BITS % (2 * fourier.RADIX_BITS) == 0
-        blocked = []
-        kernel = fourier._wht_blocked
-
-        def spy(a, n):
-            blocked.append(n)
-            return kernel(a, n)
-
-        monkeypatch.setattr(fourier, "_wht_blocked", spy)
-        rng = np.random.default_rng(16)
-        for n in (fourier.BLOCK_BITS, fourier.BLOCK_BITS + 1):
-            x = rng.uniform(-1, 1, 1 << n)
-            assert fourier._wht(x).tobytes() == reference_radix16(x).tobytes()
-        assert blocked == [fourier.BLOCK_BITS + 1]
 
     @pytest.mark.parametrize("n", [0, 1, 2, 3, 4, fourier.BLOCK_BITS + 1])
     def test_lone_row_is_its_padded_pair(self, n):

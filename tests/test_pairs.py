@@ -76,6 +76,18 @@ class TestSummarize:
             assert s["median_gap_exceeds_parent_quartile_spread"] is True
             assert s["claim_met"] is met
 
+    # the parent's median is 8 and the bound 0.25: worse by more than 2 regresses
+    @pytest.mark.parametrize("better, change, regressed", [
+        ("lower", [10.5, 10.5, 10.5], True),
+        ("higher", [5.9, 5.9, 5.9], True),
+        ("lower", [10.0, 10.0, 10.0], False),
+        ("higher", [10.0, 10.0, 10.0], False),
+    ], ids=["lower-is-better", "higher-is-better", "at-the-bound", "improved"])
+    def test_regressed(self, better, change, regressed):
+        s = pairs.summarize([7.0, 8.0, 9.0], change, better, 0.25)
+        assert s["parent"]["median"] == 8.0
+        assert s["regressed"] is regressed
+
     def test_unpaired_runs(self):
         with pytest.raises(ValueError):
             pairs.summarize([1.0, 2.0], [1.0], "lower", 0.25)

@@ -20,6 +20,9 @@ each metric
 - claim_met: whether a claimed gain on the metric holds: the change did
   strictly better in at least 9/10 of the pairs (a tie is no win) and its
   median gap exceeds the parent's quartile spread, as above;
+- regressed: whether the change's median is worse than the parent's by
+  more than the metric's bound times the parent's median, the rule a
+  change that claims no gain is held to;
 - relative_quartile_spread, the larger side's (q3 - q1) / median, and
   unresolved, whether that spread exceeds the metric's bound;
 - every run, in seed order.
@@ -63,6 +66,7 @@ def summarize(parent: list[float], change: list[float], better: str, bound: floa
         "change_better_pairs": f"{wins}/{len(parent)}",
         "median_gap_exceeds_parent_quartile_spread": gap_exceeds,
         "claim_met": gap_exceeds and 10 * wins >= 9 * len(parent),
+        "regressed": sign * (p["median"] - c["median"]) > bound * abs(p["median"]),
         "relative_quartile_spread": spread,
         "bound": bound,
         "unresolved": spread > bound,
