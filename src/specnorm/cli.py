@@ -12,6 +12,7 @@ import functools
 import json
 import math
 import os
+import resource
 import statistics
 import sys
 import tempfile
@@ -164,15 +165,20 @@ def cmd_gen(args) -> int:
 
 
 def _bench_one(fn, reps: int) -> dict:
-    times = []
+    """Median and p90 wall time of fn() over reps calls, and the median
+    count of minor page faults a call took."""
+    times, faults = [], []
     for _ in range(reps):
+        f0 = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
         t0 = time.perf_counter()
         fn()
         times.append(time.perf_counter() - t0)
+        faults.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - f0)
     times.sort()
     return {
         "median_s": statistics.median(times),
         "p90_s": times[min(len(times) - 1, int(0.9 * len(times)))],
+        "minor_faults": statistics.median(faults),
     }
 
 
@@ -229,6 +235,19 @@ def cmd_bench(args) -> int:
                 stats = _bench_one(lambda: write_truth_table(path, f), args.reps)
                 results[f"write {name}"] = {**stats, "bytes": os.path.getsize(path)}
                 results[f"read {name}"] = _bench_one(lambda: read_truth_table(path), args.reps)
+    elif args.what == "laws":
+        # the sampled checks at perfbench's trial counts, all at n
+        n, seed = args.n, args.seed
+        checks = {
+            "approx-hom": lambda: laws.check_approx_hom(n, 500, seed),
+            "power-bound": lambda: laws.check_power_bound(n, 200, seed),
+            "bogolyubov 0.5/0.25": lambda: laws.check_bogolyubov(n, 100, seed, 0.5, 0.25),
+            "bogolyubov 0.75/0.5": lambda: laws.check_bogolyubov(n, 100, seed, 0.75, 0.5),
+            "lemma13": lambda: laws.check_lemma13(n, 200, seed),
+            "plunnecke": lambda: laws.check_plunnecke_instances(n, 500, seed),
+        }
+        for name, check in checks.items():
+            results[name] = _bench_one(check, args.reps)
     else:
         # the whole call, then its term expansion and its exactness check, on
         # a coset ring and on a random boolean table drawn after it
@@ -250,7 +269,7 @@ def cmd_bench(args) -> int:
             line = f"{args.what} n={args.n} [{name}] median={stats['median_s'] * 1e3:.3f}ms p90={stats['p90_s'] * 1e3:.3f}ms"
             if "points_per_s" in stats:
                 line += f" throughput={stats['points_per_s']:.3e} pts/s"
-            for key in ("dim", "steps", "bytes", "L"):
+            for key in ("minor_faults", "dim", "steps", "bytes", "L"):
                 if key in stats:
                     line += f" {key}={stats[key]}"
             print(line)
@@ -307,8 +326,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser(
         "bench", help="time the transform, the spectral norm, psi, the support descent, "
-        "truth-table files or decompose")
-    sp.add_argument("what", choices=["wht", "anorm", "psi", "support", "io", "decompose"])
+        "truth-table files, decompose or the sampled law checks")
+    sp.add_argument("what", choices=["wht", "anorm", "psi", "support", "io", "decompose",
+                                     "laws"])
     sp.add_argument("--n", type=int, default=16)
     sp.add_argument("--reps", type=int, default=5)
     sp.add_argument("--seed", type=int, default=0)

@@ -15,15 +15,35 @@ fourier._wht call on all its rows.  Work that depends on each trial's own
 subgroup (the coset folds and the support level) stays one trial at a
 time, and the per-trial bounds are computed on Python floats (.tolist()),
 so each margin is the same float as one trial's scalar arithmetic gives.
-From n = 5 on, a row's transform is bit for bit the 1-D one, so a margin
-does not depend on the block size.  TRIAL_BLOCK_ENTRIES = 2^15 is sized
-by peak RSS: on the perfbench decompose-laws workload it peaked at
-42.3-42.4 MB, as the per-trial loops did, where blocks of 2^16 entries
-peaked at 43.4-43.8 MB and of 2^18 at 51.4 MB, for no clear gain in
-speed (BENCH_11.json).  Blocks of 2^14 entries take about 700 minor page
-faults over eight rounds of the sampled checks at their perfbench sizes,
-against about 213,000, and plunnecke runs faster; but approx-hom at n = 8
-ran slower in most paired runs, so the size stays (BENCH_17.json).
+From n = 5 on, a row's transform is bit for bit the 1-D one, and at
+n <= 4 the kernel pads a lone row onto the matrix path, so a margin does
+not depend on the block size.
+
+TRIAL_BLOCK_ENTRIES = 2^14 is sized by page faults.  glibc mmaps a
+request of at least its mmap threshold (128 KiB at start), raises the
+threshold to the size of each mmapped chunk it frees, and trims the heap
+top when more than twice the threshold lies free there; each page given
+back and touched again is a minor fault.  At 2^14 a block's float64
+table is 128 KiB, and a block's tables and temporaries mostly fit in the
+heap that the block before freed.  Whether they do depends on what ran
+earlier in the process, so the size was measured in three states, at
+the perfbench sizes of the checks (BENCH_47.json):
+- perfbench decompose-laws, whose set-up has raised the thresholds: a
+  warm pass takes 550-1,400 minor faults (33,700-64,400 at 2^15),
+  plunnecke at n = 12 none a call (14,000-22,400 at 2^15), and peak RSS
+  reads 0.15-0.31 MB higher, the heap that the blocks keep;
+- a fresh process running one check, as `specnorm verify` does: each
+  check takes 310-340 faults, its first touch, against 600-24,300 at
+  2^15; at n = 12 approx-hom, whose draw stacks two tables, takes about
+  17,500;
+- `specnorm bench laws`, where the other checks at the same n ran first:
+  at n = 10 and 12 approx-hom, power-bound, lemma13 and plunnecke fault
+  at 2^14 too, though less than at 2^15.
+Blocks of 2^13 entries fault only on first touch in all three (bar
+approx-hom at n = 12 in one of two bench laws runs) but cost more Python
+per trial (plunnecke 99 ms a warm call against 81).  Summed over the checks,
+2^14 was the fastest size in perfbench passes and in fresh single calls,
+and 2^13 in bench laws at n = 12 (755 ms against 791; 2^15 903).
 
 The checks compute no quantity of their own that the library owns: each
 |transform| comes from spectral._abs_spectrum (an A-norm is its row sum),
@@ -172,7 +192,7 @@ CHANG_RHO = 0.25
 # bit-plane word holds; sized by time and peak RSS, see check_tiny_norm
 _TINY_NORM_CHUNK = 2048
 # table entries per block of sampled trials; see the module docstring
-TRIAL_BLOCK_ENTRIES = 2**15
+TRIAL_BLOCK_ENTRIES = 2**14
 
 
 def _sweep_index(N: int) -> tuple:

@@ -667,6 +667,16 @@ class TestBenchCmd:
         assert sizes[0] == len("n=8\nbits=\n") + 256 and sizes[0] < sizes[1] < sizes[2]
         assert sizes[3] <= len("n=8\nreal=\n") + 9 * 256 < sizes[2]
 
+    def test_laws_json(self, capsys):
+        assert main(["bench", "laws", "--n", "6", "--reps", "2", "--json"]) == EXIT_OK
+        doc = json.loads(capsys.readouterr().out)
+        assert (doc["what"], doc["n"], doc["reps"]) == ("laws", 6, 2)
+        assert list(doc["results"]) == ["approx-hom", "power-bound", "bogolyubov 0.5/0.25",
+                                        "bogolyubov 0.75/0.5", "lemma13", "plunnecke"]
+        for stats in doc["results"].values():
+            assert stats["median_s"] > 0 and stats["p90_s"] >= stats["median_s"]
+            assert stats["minor_faults"] >= 0
+
     def test_too_large(self):
         assert main(["bench", "wht", "--n", "30"]) == EXIT_BAD_INPUT
 
@@ -675,7 +685,7 @@ class TestBenchCmd:
         err = capsys.readouterr().err
         assert err == "error: --reps must be >= 1, got 0\n"
 
-    @pytest.mark.parametrize("what", ["wht", "decompose", "psi", "support", "io"])
+    @pytest.mark.parametrize("what", ["wht", "decompose", "psi", "support", "io", "laws"])
     def test_n_zero(self, what, capsys):
         assert main(["bench", what, "--n", "0"]) == EXIT_BAD_INPUT
         err = capsys.readouterr().err

@@ -637,8 +637,8 @@ class TestTrialBlocks:
 
     @pytest.mark.parametrize("law", sorted(BLOCKED))
     @settings(max_examples=12, deadline=None)
-    @given(n=st.integers(5, 9), trials=st.integers(1, 40), seed=st.integers(0, 2**32 - 1),
-           block_bits=st.sampled_from([8, 11, 15]))
+    @given(n=st.integers(5, 12), trials=st.integers(1, 40), seed=st.integers(0, 2**32 - 1),
+           block_bits=st.sampled_from([8, 11, 14, 15]))
     def test_equals_per_trial_reference(self, law, n, trials, seed, block_bits):
         check, reference = BLOCKED[law]
         with pytest.MonkeyPatch.context() as mp:
