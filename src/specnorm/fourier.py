@@ -171,22 +171,6 @@ class RealFn:
         if self.ambient != other.ambient:
             raise AmbientMismatch("functions on different ambients")
 
-    def __add__(self, other):
-        self._check(other)
-        return RealFn(self.ambient, self.values + other.values)
-
-    def __sub__(self, other):
-        self._check(other)
-        return RealFn(self.ambient, self.values - other.values)
-
-    def __mul__(self, other):
-        if isinstance(other, RealFn):
-            self._check(other)
-            return RealFn(self.ambient, self.values * other.values)
-        return RealFn(self.ambient, self.values * float(other))
-
-    __rmul__ = __mul__
-
 
 @dataclass(frozen=True)
 class Spectrum:

@@ -534,20 +534,17 @@ def check_lemma14(n: int, trials: int, seed: int) -> LawReport:
         eps = 1.0 / (64.0 * K**12)
         L = math.ceil(1.0 / (4.0 * K**4 * eps))
         budget = alpha / (16.0 * K**4)
-        j_found = None
         prev = s_eta(A, eta0).density
         for j in range(L):
-            cur = s_eta(A, eta0 - (j + 1) * eps).density
-            if cur - prev <= budget + DENSITY_SLACK:
-                j_found = j
+            S = s_eta(A, eta0 - (j + 1) * eps)
+            if S.density - prev <= budget + DENSITY_SLACK:
                 break
-            prev = cur
-        if j_found is None:
+            prev = S.density
+        else:
             rep.record(-1.0, {"trial": t, "seed": seed, "n": n, "K": K})
             continue
         rho = 1.0 / (16.0 * K**6)
         Hp = bogolyubov_subgroup(A, rho)
-        S = s_eta(A, eta0 - (j_found + 1) * eps)
         cover = spectral._coset_sums(S.members.astype(np.float64), Hp)
         fully = cover > Hp.size - 0.5
         X = S.members & ~fully

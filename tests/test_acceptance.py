@@ -1,4 +1,4 @@
-"""Acceptance gate: twelve end-to-end criteria, each printing a PASS/FAIL
+"""Acceptance gate: thirteen end-to-end criteria, each printing a PASS/FAIL
 line.  Run with ``pytest tests/test_acceptance.py -v -s`` to see the lines.
 These are the full-size runs; the unit suites cover the same code at small
 scale.
@@ -200,9 +200,20 @@ def test_09_plunnecke():
     )
 
 
+def l_lower(f_int):
+    """The least L' >= max(ceil(||f||_A), |f(0)|) with L' = f(0) mod 2, for
+    an integer table f_int: every expression of it has L >= L', since each
+    +-1_H has A-norm 1 and contains 0.  The integer transform T is exact and
+    ||f||_A = sum |T| / 2^n, so the ceiling is an integer division."""
+    m = -(-int(np.abs(fourier._wht(f_int)).sum()) // f_int.size)
+    f0 = int(f_int[0])
+    low = max(m, abs(f0))
+    return low + (low - f0) % 2
+
+
 def run_roundtrips():
     """200 coset-ring roundtrips, and the sha256 of their decomposition
-    JSON; shared by criteria 10 and 11."""
+    JSON; shared by criteria 10, 11 and 13."""
     results = []
     digest = hashlib.sha256()
     for t in range(200):
@@ -213,7 +224,7 @@ def run_roundtrips():
         digest.update(json.dumps(decomposition_json(expr, rep), sort_keys=True).encode())
         l_triv = _term_count(f.values)  # the point-mass expression's L
         exact_vals = np.array_equal(evaluate(expr).values, f.values)
-        results.append((rep, expr.L, l_triv, exact_vals))
+        results.append((rep, expr.L, l_triv, exact_vals, l_lower(f.values)))
     return results, digest.hexdigest()
 
 
@@ -224,11 +235,11 @@ def roundtrips():
 
 def test_10_decomposition_roundtrip(roundtrips):
     roundtrips, digest = roundtrips
-    total_L = sum(L for _, L, _, _ in roundtrips)
+    total_L = sum(L for _, L, *_ in roundtrips)
     inexact = sum(
-        1 for rep, _, _, ev in roundtrips if not (rep.exact and ev)
+        1 for rep, _, _, ev, _ in roundtrips if not (rep.exact and ev)
     )
-    ratios = [L / lt for _, L, lt, _ in roundtrips if lt > 0]
+    ratios = [L / lt for _, L, lt, *_ in roundtrips if lt > 0]
     med = median(ratios)
     # single-coset inputs cost at most two subgroup terms
     coset_ok = True
@@ -251,7 +262,7 @@ def test_10_decomposition_roundtrip(roundtrips):
 def test_11_split_invariants(roundtrips):
     checked = 0
     bad = 0
-    for rep, _, _, _ in roundtrips[0]:
+    for rep, *_ in roundtrips[0]:
         for s in rep.splits:
             checked += 1
             add = abs(
@@ -277,4 +288,21 @@ def test_12_pd_grid():
         "polynomial grid identities",
         ok,
         f"failures={rep.failures} elapsed={rep.elapsed:.2f}s",
+    )
+
+
+def test_13_L_against_norm_lower_bound(roundtrips):
+    """No instance has L below its l_lower, and each L has f(0)'s parity.
+    The sum of the bounds, and the count of instances whose L meets its
+    bound and so is certified minimal, are report-only."""
+    pairs = [(L, low) for _, L, _, _, low in roundtrips[0]]
+    below = sum(1 for L, low in pairs if L < low)
+    # L_lower has f(0)'s parity, so L must have L_lower's
+    parity = sum(1 for L, low in pairs if (L - low) % 2)
+    report(
+        "L against norm lower bound",
+        below == 0 and parity == 0,
+        f"instances={len(pairs)} below={below} "
+        f"sum_L_lower={sum(low for _, low in pairs)} "
+        f"certified={sum(1 for L, low in pairs if L == low)}",
     )

@@ -18,7 +18,7 @@ from specnorm.decompose import (
     inductive_step,
     trivial_expr,
 )
-from specnorm.fourier import RealFn
+from specnorm.fourier import RealFn, _wht
 from specnorm.generate import flat_indicator, gen_coset_ring, random_flat, rng_for
 from specnorm.gf2 import Ambient, _joins, rref_span, trivial
 from specnorm.spectral import NotAlmostInteger, a_norm, psi, round_to_int
@@ -29,6 +29,17 @@ EPS0 = DecomposeParams().eps0
 
 def expr_values(expr):
     return np.rint(evaluate(expr).values).astype(np.int64)
+
+
+def l_lower(f_int):
+    """The least L' >= max(ceil(||f||_A), |f(0)|) with L' = f(0) mod 2, for
+    an integer table f_int: every expression of it has L >= L', since each
+    +-1_H has A-norm 1 and contains 0.  The integer transform T is exact and
+    ||f||_A = sum |T| / 2^n, so the ceiling is an integer division."""
+    m = -(-int(np.abs(_wht(f_int)).sum()) // f_int.size)
+    f0 = int(f_int[0])
+    low = max(m, abs(f0))
+    return low + (low - f0) % 2
 
 
 @st.composite
@@ -174,7 +185,8 @@ def reference_split_norms(f):
     f_int = f.f_int
     cert = inductive_step(f).certificate
     f1 = psi(f_int, cert.subgroup)
-    return a_norm(f_int), (a_norm(f1), a_norm(f_int - f1))
+    rest = RealFn(f_int.ambient, f_int.values - f1.values)
+    return a_norm(f_int), (a_norm(f1), a_norm(rest))
 
 
 class TestMergedPathsMatchReferences:
@@ -385,6 +397,26 @@ class TestDecomposeProperties:
         want, _ = decompose(RealFn(f.ambient, np.rint(f.values)))
         assert rep.exact
         assert got.terms == want.terms
+
+    @given(signed_flat_sums())
+    @settings(max_examples=80, deadline=None)
+    def test_L_meets_the_norm_lower_bound(self, f):
+        expr, _ = decompose(f)
+        f_int = round_to_int(f).f_int.values
+        assert expr.L >= l_lower(f_int)
+        assert (expr.L - int(f_int[0])) % 2 == 0
+
+    @pytest.mark.parametrize("t,want", [(0, 1), (0b0100, 2)])
+    def test_lower_bound_of_one_flat(self, t, want):
+        # ||1_{t+H}||_A = 1 exactly; L' is 1 on H itself, and 2 off it,
+        # where f(0) = 0 asks for an even L
+        f = flat_indicator(rref_span(Ambient(4), [0b0011]), t)
+        assert l_lower(f.values) == want == decompose(f)[0].L
+
+    def test_lower_bound_above_an_integer_norm(self):
+        # 1_{0,1,2} on F_2^2 has ||f||_A = 3/2, so L' = 3, odd as f(0) = 1
+        f = RealFn(Ambient(2), np.array([1.0, 1.0, 1.0, 0.0]))
+        assert l_lower(f.values) == 3
 
 
 @st.composite

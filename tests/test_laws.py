@@ -529,7 +529,9 @@ def reference_check_approx_hom(n, trials, seed):
         g = RealFn(ambient, rng.uniform(-1, 1, ambient.size))
         H = random_subgroup(ambient, rng)
         eta = find_spectral_support(f, H, math.inf).worst_mass
-        defect = a_norm(psi(f * g, H) - psi(f, H) * psi(g, H))
+        fg = RealFn(ambient, f.values * g.values)
+        pfpg = psi(f, H).values * psi(g, H).values
+        defect = a_norm(RealFn(ambient, psi(fg, H).values - pfpg))
         bound = eta * a_norm(g) + laws.NORM_BOUND_SLACK
         rep.record(bound - defect, {"trial": t, "seed": seed, "n": n})
     return rep
@@ -548,7 +550,7 @@ def reference_check_power_bound(n, trials, seed):
         fk = RealFn(ambient, f.values**k)
         pf = psi(f, H)
         pfk = RealFn(ambient, pf.values**k)
-        lhs = a_norm(psi(fk, H) - pfk)
+        lhs = a_norm(RealFn(ambient, psi(fk, H).values - pfk.values))
         bound = eta * (k - 1) * m_norm ** (k - 1) + laws.NORM_BOUND_SLACK
         rep.record(bound - lhs, {"trial": t, "seed": seed, "n": n, "k": k})
     return rep
